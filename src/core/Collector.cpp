@@ -285,10 +285,7 @@ void Collector::collect(RootSet &Roots, size_t NeedPayloadWords) {
     if (Prof && Prof->enabled()) {
       uint64_t Covered = Copying ? (uint64_t)Copying->usedBytes()
                                  : Ms->liveWordsAfterSweep() * sizeof(Word);
-      Prof->finishCollection(Covered, nullptr,
-                             Prof->wantsRoots()
-                                 ? captureProfilerRoots(Roots)
-                                 : std::vector<HeapRoot>{});
+      Prof->finishCollection(Covered, nullptr, captureProfilerRoots(Roots));
     }
 
     // Finish while the RootScan span is still open: finishCollection's
@@ -308,6 +305,8 @@ void Collector::collect(RootSet &Roots, size_t NeedPayloadWords) {
 
 std::vector<HeapRoot> Collector::captureProfilerRoots(RootSet &Roots) const {
   std::vector<HeapRoot> Out;
+  if (!Prof->wantsRoots())
+    return Out;
   for (TaskStack *Stack : Roots.Stacks)
     for (const FrameInfo &F : Stack->Frames) {
       const Word *Slots = Stack->Slots.data() + F.SlotBase;
@@ -546,9 +545,7 @@ void Collector::majorCollection(RootSet &Roots, size_t Need) {
 
   if (Prof && Prof->enabled())
     Prof->finishCollection((uint64_t)Gen->usedBytes(), nullptr,
-                           Prof->wantsRoots()
-                               ? captureProfilerRoots(Roots)
-                               : std::vector<HeapRoot>{});
+                           captureProfilerRoots(Roots));
 
   Tel.finishCollection(Gen->nurseryUsedWords() + Gen->tenuredUsedWords(),
                        heapCapacityBytes());

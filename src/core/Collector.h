@@ -248,9 +248,10 @@ protected:
 
 private:
   void recordRemset(Word *Slot, Type *Ty);
-  /// Conservative retention roots: every slot of every suspended frame,
-  /// labeled frame-function:slot (the dominator pass drops values that
-  /// match no live object, so stale slots only cost a failed lookup).
+  /// Roots of the profiler's graph capture (none when no capture runs):
+  /// every slot of every suspended frame, labeled frame-function:slot
+  /// (the dominator pass drops values that match no live object, so
+  /// stale slots only cost a failed lookup).
   std::vector<HeapRoot> captureProfilerRoots(RootSet &Roots) const;
   void collectGenerational(RootSet &Roots, size_t Need);
   void minorCollection(RootSet &Roots, bool Promote);

@@ -191,7 +191,7 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
       // ones with nothing to trace.
       for (size_t I = 0; I < Desc.Args.size(); ++I) {
         Pl[I] = traceDesc(Pl[I], Desc.Args[I], Env);
-        if (EdgeRec)
+        if (EdgeRec && !isLeaf(resolveArg(Desc.Args[I], Env).D))
           edge(NewRef, (uint32_t)I, Pl[I]);
       }
       return Result;
@@ -221,7 +221,7 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
         edge(PatchObj, PatchField, NewRef);
       Word *Pl = Sp.payload(NewRef);
       Pl[0] = traceDesc(Pl[0], Desc.Args[0], Env);
-      if (EdgeRec)
+      if (EdgeRec && !isLeaf(resolveArg(Desc.Args[0], Env).D))
         edge(NewRef, 0, Pl[0]);
       return Result;
     }
@@ -310,7 +310,7 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
             goto tail;
           }
           *Slot = traceDesc(*Slot, B.D, B.Env);
-          if (EdgeRec)
+          if (EdgeRec && !isLeaf(B.D))
             edge(NewRef, (uint32_t)(1 + I), *Slot);
           continue;
         }
@@ -338,7 +338,7 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
             goto tail;
           }
           *Slot = traceDesc(*Slot, F, nullptr);
-          if (EdgeRec)
+          if (EdgeRec && !isLeaf(F))
             edge(NewRef, (uint32_t)(1 + I), *Slot);
           continue;
         }

@@ -128,8 +128,9 @@ private:
   /// Heap-graph edge hook: records that field \p Field of the object at
   /// (post-move) \p Parent holds \p Child. Parent 0 marks a root slot —
   /// those come from the collector's root capture, not the edge stream.
-  /// Only called under `if (EdgeRec)`; non-reference children are
-  /// filtered when the capture is finalized.
+  /// Only called under `if (EdgeRec)`, and only for fields whose type can
+  /// hold a reference; null and nullary-constructor children are filtered
+  /// when the capture is finalized.
   void edge(Word Parent, uint32_t Field, Word Child) {
     if (Parent)
       Prof->recordEdge(Parent, Field, Child);
@@ -139,6 +140,9 @@ private:
     return Method == TraceMethod::Appel ? AM->descriptors()
                                         : IM->descriptors();
   }
+  /// The descriptor walk visits leaf fields too (ints, floats, ...);
+  /// they hold no reference, so they yield no graph edge.
+  bool isLeaf(DescId D) { return descTable().desc(D).Kind == DescKind::Leaf; }
   /// Environments built during this collection (stable addresses).
   std::deque<DescEnvNode> EnvStorage;
 

@@ -67,8 +67,9 @@ const std::vector<CliFlag> &tfgc::cliFlags() {
        "write the last collection's typed heap snapshot as JSON (implies "
        "--heap-profile)"},
       {"--retainers", true,
-       "report the top-N retainers by retained size after full/major "
-       "collections (implies --heap-profile)"},
+       "report the top-N retainers by retained size, from the exact typed "
+       "object graph of each captured full/major collection (implies "
+       "--heap-profile; with --heap-dump-every, only captured ones)"},
       {"--heap-dump", true,
        "stream typed heap-graph dumps (nodes, edges, roots, lifetimes) at "
        "full/major collections to FILE (implies --heap-profile; decode "

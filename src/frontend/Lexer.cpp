@@ -3,6 +3,8 @@
 #include "frontend/Lexer.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <unordered_map>
 
@@ -192,7 +194,16 @@ Token Lexer::lexNumber(SourceLoc Loc) {
     T.FloatValue = std::strtod(Text.c_str(), nullptr);
   } else {
     T.Kind = TokenKind::IntLit;
+    errno = 0;
     T.IntValue = std::strtoll(Text.c_str(), nullptr, 10);
+    if (errno == ERANGE) {
+      // strtoll saturates, and the saturated value would then be encoded
+      // differently per value model; reject the literal instead.
+      Diags.error(Loc, "integer literal " + Text +
+                           " is out of range (largest is " +
+                           std::to_string(INT64_MAX) + ")");
+      T.Kind = TokenKind::Error;
+    }
   }
   return T;
 }

@@ -36,8 +36,27 @@ bool Parser::accept(TokenKind Kind) {
 bool Parser::expect(TokenKind Kind, const char *Context) {
   if (accept(Kind))
     return true;
-  Diags.error(loc(), std::string("expected ") + tokenKindName(Kind) + " " +
-                         Context + ", found " + tokenKindName(peek().Kind));
+  error(loc(), std::string("expected ") + tokenKindName(Kind) + " " +
+                   Context + ", found " + tokenKindName(peek().Kind));
+  return false;
+}
+
+void Parser::error(SourceLoc Loc, std::string Message) {
+  if (!TooDeep)
+    Diags.error(Loc, std::move(Message));
+}
+
+bool Parser::Nesting::deeper() {
+  if (++P.Depth <= MaxNesting)
+    return true;
+  if (!P.TooDeep) {
+    P.Diags.error(P.loc(), "program nested too deeply (more than " +
+                               std::to_string(MaxNesting) + " levels)");
+    P.TooDeep = true;
+  }
+  // Skip to end of input: every pending production then finds Eof and
+  // unwinds without consuming or reporting anything more.
+  P.Pos = P.Tokens.size() - 1;
   return false;
 }
 
@@ -96,7 +115,7 @@ DeclPtr Parser::parseDecl() {
   case TokenKind::KwVal:
     return parseValDecl();
   default:
-    Diags.error(loc(), "expected declaration");
+    error(loc(), "expected declaration");
     advance();
     return std::make_unique<Decl>(DeclKind::Val, loc());
   }
@@ -114,7 +133,7 @@ DeclPtr Parser::parseDatatypeDecl() {
     advance();
     do {
       if (!check(TokenKind::TyVar)) {
-        Diags.error(loc(), "expected type variable");
+        error(loc(), "expected type variable");
         break;
       }
       D->TyVars.push_back(advance().Text);
@@ -125,7 +144,7 @@ DeclPtr Parser::parseDatatypeDecl() {
   if (check(TokenKind::Ident))
     D->Name = advance().Text;
   else
-    Diags.error(loc(), "expected datatype name (lowercase identifier)");
+    error(loc(), "expected datatype name (lowercase identifier)");
   expect(TokenKind::Equal, "after datatype name");
 
   do {
@@ -134,7 +153,7 @@ DeclPtr Parser::parseDatatypeDecl() {
     if (check(TokenKind::CapIdent))
       C.Name = advance().Text;
     else {
-      Diags.error(loc(), "expected constructor name (capitalized)");
+      error(loc(), "expected constructor name (capitalized)");
       advance();
     }
     if (accept(TokenKind::KwOf)) {
@@ -159,14 +178,14 @@ DeclPtr Parser::parseFunDecl() {
     if (check(TokenKind::Ident))
       B.Name = advance().Text;
     else
-      Diags.error(loc(), "expected function name");
+      error(loc(), "expected function name");
     // One or more atomic patterns.
     while (!check(TokenKind::Equal) && !check(TokenKind::Colon) &&
            !check(TokenKind::Eof)) {
       B.Params.push_back(parseAtomicPattern());
     }
     if (B.Params.empty())
-      Diags.error(B.Loc, "function '" + B.Name + "' needs at least one parameter");
+      error(B.Loc, "function '" + B.Name + "' needs at least one parameter");
     if (accept(TokenKind::Colon))
       B.RetAnnot = parseType();
     expect(TokenKind::Equal, "before function body");
@@ -191,6 +210,9 @@ DeclPtr Parser::parseValDecl() {
 //===----------------------------------------------------------------------===//
 
 TypeAstPtr Parser::parseType() {
+  Nesting N(*this);
+  if (!N.deeper())
+    return std::make_unique<TypeAst>(TypeAstKind::Name, loc());
   std::vector<TypeAstPtr> Group;
   TypeAstPtr T = parseTypeProduct(Group);
   if (!T) {
@@ -203,8 +225,8 @@ TypeAstPtr Parser::parseType() {
       F->Result = parseType();
       return F;
     }
-    Diags.error(loc(), "expected '->' after parenthesized parameter types "
-                       "(tuple types are written t1 * t2)");
+    error(loc(), "expected '->' after parenthesized parameter types "
+                 "(tuple types are written t1 * t2)");
     return std::make_unique<TypeAst>(TypeAstKind::Name, Loc);
   }
   // Arrow: unary function from T.
@@ -249,12 +271,14 @@ TypeAstPtr Parser::parseTypePostfix(std::vector<TypeAstPtr> *Group) {
       *Group = std::move(Local);
       return nullptr;
     } else {
-      Diags.error(loc(), "expected type constructor after '(t1, t2)' "
-                         "(tuple types are written t1 * t2)");
+      error(loc(), "expected type constructor after '(t1, t2)' "
+                   "(tuple types are written t1 * t2)");
       return std::make_unique<TypeAst>(TypeAstKind::Name, loc());
     }
   }
-  while (check(TokenKind::Ident) || check(TokenKind::KwRef)) {
+  Nesting N(*this);
+  while ((check(TokenKind::Ident) || check(TokenKind::KwRef)) &&
+         N.deeper()) {
     SourceLoc Loc = loc();
     auto App = std::make_unique<TypeAst>(TypeAstKind::Name, Loc);
     App->Name = check(TokenKind::KwRef) ? "ref" : peek().Text;
@@ -283,7 +307,7 @@ TypeAstPtr Parser::parseTypeAtomOrGroup(std::vector<TypeAstPtr> &Group) {
   if (check(TokenKind::KwRef)) {
     // `ref` used as a bare type name is invalid; refs are written `t ref`
     // which the postfix loop handles via Ident. Reaching here is an error.
-    Diags.error(Loc, "'ref' must follow an element type: t ref");
+    error(Loc, "'ref' must follow an element type: t ref");
     advance();
     return std::make_unique<TypeAst>(TypeAstKind::Name, Loc);
   }
@@ -296,7 +320,9 @@ TypeAstPtr Parser::parseTypeAtomOrGroup(std::vector<TypeAstPtr> &Group) {
     if (Elems.size() == 1) {
       TypeAstPtr T = std::move(Elems.front());
       // Allow postfix application after a parenthesized type.
-      while (check(TokenKind::Ident) || check(TokenKind::KwRef)) {
+      Nesting N(*this);
+      while ((check(TokenKind::Ident) || check(TokenKind::KwRef)) &&
+             N.deeper()) {
         auto App = std::make_unique<TypeAst>(TypeAstKind::Name, loc());
         App->Name = check(TokenKind::KwRef) ? "ref" : peek().Text;
         advance();
@@ -308,8 +334,8 @@ TypeAstPtr Parser::parseTypeAtomOrGroup(std::vector<TypeAstPtr> &Group) {
     Group = std::move(Elems);
     return nullptr;
   }
-  Diags.error(Loc, std::string("expected type, found ") +
-                       tokenKindName(peek().Kind));
+  error(Loc, std::string("expected type, found ") +
+                 tokenKindName(peek().Kind));
   advance();
   return std::make_unique<TypeAst>(TypeAstKind::Name, Loc);
 }
@@ -321,6 +347,9 @@ TypeAstPtr Parser::parseTypeAtomOrGroup(std::vector<TypeAstPtr> &Group) {
 PatternPtr Parser::parsePattern() { return parseConsPattern(); }
 
 PatternPtr Parser::parseConsPattern() {
+  Nesting N(*this);
+  if (!N.deeper())
+    return std::make_unique<Pattern>(PatternKind::Wild, loc());
   PatternPtr P = parseAtomicPattern();
   if (!accept(TokenKind::ColonColon))
     return P;
@@ -355,7 +384,7 @@ PatternPtr Parser::parseAtomicPattern() {
     if (check(TokenKind::IntLit))
       P->IntValue = -advance().IntValue;
     else
-      Diags.error(loc(), "expected integer after '~' in pattern");
+      error(loc(), "expected integer after '~' in pattern");
     return P;
   }
   case TokenKind::KwTrue:
@@ -378,6 +407,9 @@ PatternPtr Parser::parseAtomicPattern() {
     case TokenKind::CapIdent:
     case TokenKind::LParen:
     case TokenKind::LBracket: {
+      Nesting N(*this);
+      if (!N.deeper())
+        break;
       PatternPtr Arg = parseAtomicPattern();
       if (Arg->Kind == PatternKind::Tuple && !Arg->Annot) {
         for (PatternPtr &E : Arg->Elems)
@@ -416,9 +448,11 @@ PatternPtr Parser::parseAtomicPattern() {
   case TokenKind::LBracket: {
     advance();
     std::vector<PatternPtr> Elems;
-    if (!check(TokenKind::RBracket)) {
+    // Each element nests one Cons deeper once desugared.
+    Nesting N(*this);
+    if (!check(TokenKind::RBracket) && N.deeper()) {
       Elems.push_back(parsePattern());
-      while (accept(TokenKind::Comma))
+      while (accept(TokenKind::Comma) && N.deeper())
         Elems.push_back(parsePattern());
     }
     expect(TokenKind::RBracket, "after list pattern");
@@ -435,8 +469,8 @@ PatternPtr Parser::parseAtomicPattern() {
     return Tail;
   }
   default:
-    Diags.error(Loc, std::string("expected pattern, found ") +
-                         tokenKindName(peek().Kind));
+    error(Loc, std::string("expected pattern, found ") +
+                   tokenKindName(peek().Kind));
     advance();
     return std::make_unique<Pattern>(PatternKind::Wild, Loc);
   }
@@ -459,6 +493,9 @@ ExprPtr Parser::makeCons(SourceLoc Loc, ExprPtr Head, ExprPtr Tail) {
 
 ExprPtr Parser::parseExpr() {
   SourceLoc Loc = loc();
+  Nesting N(*this);
+  if (!N.deeper())
+    return errorExpr(Loc);
   switch (peek().Kind) {
   case TokenKind::KwLet: {
     advance();
@@ -469,7 +506,7 @@ ExprPtr Parser::parseExpr() {
       Decls.push_back(parseDecl());
     }
     if (Decls.empty())
-      Diags.error(Loc, "'let' needs at least one declaration");
+      error(Loc, "'let' needs at least one declaration");
     expect(TokenKind::KwIn, "in let expression");
     ExprPtr Body = parseExpr();
     expect(TokenKind::KwEnd, "to close let expression");
@@ -527,7 +564,9 @@ ExprPtr Parser::parseAssign() {
 
 ExprPtr Parser::parseOrElse() {
   ExprPtr E = parseAndAlso();
-  while (check(TokenKind::KwOrelse)) {
+  // Each link of a chain nests the tree built so far one level deeper.
+  Nesting N(*this);
+  while (check(TokenKind::KwOrelse) && N.deeper()) {
     SourceLoc Loc = loc();
     advance();
     ExprPtr Rhs = parseAndAlso();
@@ -541,7 +580,8 @@ ExprPtr Parser::parseOrElse() {
 
 ExprPtr Parser::parseAndAlso() {
   ExprPtr E = parseCompare();
-  while (check(TokenKind::KwAndalso)) {
+  Nesting N(*this);
+  while (check(TokenKind::KwAndalso) && N.deeper()) {
     SourceLoc Loc = loc();
     advance();
     ExprPtr Rhs = parseCompare();
@@ -582,12 +622,16 @@ ExprPtr Parser::parseCons() {
     return E;
   SourceLoc Loc = loc();
   advance();
+  Nesting N(*this);
+  if (!N.deeper())
+    return E;
   ExprPtr Tail = parseCons(); // right-associative
   return makeCons(Loc, std::move(E), std::move(Tail));
 }
 
 ExprPtr Parser::parseAdditive() {
   ExprPtr E = parseMultiplicative();
+  Nesting N(*this);
   for (;;) {
     PrimOp Op;
     switch (peek().Kind) {
@@ -600,6 +644,8 @@ ExprPtr Parser::parseAdditive() {
     }
     SourceLoc Loc = loc();
     advance();
+    if (!N.deeper())
+      return E;
     ExprPtr Rhs = parseMultiplicative();
     std::vector<ExprPtr> Args;
     Args.push_back(std::move(E));
@@ -610,6 +656,7 @@ ExprPtr Parser::parseAdditive() {
 
 ExprPtr Parser::parseMultiplicative() {
   ExprPtr E = parseUnary();
+  Nesting N(*this);
   for (;;) {
     PrimOp Op;
     switch (peek().Kind) {
@@ -623,6 +670,8 @@ ExprPtr Parser::parseMultiplicative() {
     }
     SourceLoc Loc = loc();
     advance();
+    if (!N.deeper())
+      return E;
     ExprPtr Rhs = parseUnary();
     std::vector<ExprPtr> Args;
     Args.push_back(std::move(E));
@@ -649,6 +698,9 @@ ExprPtr Parser::parseUnary() {
     Token T = advance();
     return std::make_unique<FloatExpr>(Loc, -T.FloatValue);
   }
+  Nesting N(*this);
+  if (!N.deeper())
+    return errorExpr(Loc);
   ExprPtr Operand = parseUnary();
   std::vector<ExprPtr> Args;
   Args.push_back(std::move(Operand));
@@ -676,8 +728,8 @@ ExprPtr Parser::parseApp() {
         C->Args.push_back(std::move(A.E));
     }
     if (C->Args.size() > 1 && !(Args.size() == 1 && Args[0].ParenTuple)) {
-      Diags.error(C->Loc, "constructor '" + C->Name +
-                              "' takes its arguments as C (a, b)");
+      error(C->Loc, "constructor '" + C->Name +
+                        "' takes its arguments as C (a, b)");
     }
     return std::move(First.E);
   }
@@ -749,9 +801,11 @@ Parser::Atom Parser::parseAtom() {
   case TokenKind::LBracket: {
     advance();
     std::vector<ExprPtr> Elems;
-    if (!check(TokenKind::RBracket)) {
+    // Each element nests one Cons deeper once desugared.
+    Nesting N(*this);
+    if (!check(TokenKind::RBracket) && N.deeper()) {
       Elems.push_back(parseExpr());
-      while (accept(TokenKind::Comma))
+      while (accept(TokenKind::Comma) && N.deeper())
         Elems.push_back(parseExpr());
     }
     expect(TokenKind::RBracket, "after list");
@@ -764,8 +818,8 @@ Parser::Atom Parser::parseAtom() {
     return {std::move(Tail), false};
   }
   default:
-    Diags.error(Loc, std::string("expected expression, found ") +
-                         tokenKindName(peek().Kind));
+    error(Loc, std::string("expected expression, found ") +
+                   tokenKindName(peek().Kind));
     advance();
     return {errorExpr(Loc), false};
   }

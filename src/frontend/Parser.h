@@ -46,10 +46,35 @@ public:
   /// reported.
   std::optional<Program> parseProgram();
 
+  /// Deepest nesting accepted; a deeper program gets one diagnostic. The
+  /// parser and every later pass recurse over the syntax tree, so beyond
+  /// some depth the stack would overflow. One level is one expression,
+  /// pattern or type nested in another, and also one link of an operator
+  /// chain (`1 + 1 + ...`) or list literal, which build trees that deep.
+  static constexpr unsigned MaxNesting = 512;
+
 private:
   std::vector<Token> Tokens;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
+  unsigned Depth = 0;
+  /// Set once MaxNesting is exceeded: the parse skips to end of input and
+  /// reports nothing further.
+  bool TooDeep = false;
+
+  /// Charges nesting levels to the parse in progress and gives them back
+  /// when the scope ends; deeper() is false (after a diagnostic) past
+  /// MaxNesting.
+  struct Nesting {
+    Parser &P;
+    unsigned Saved;
+    explicit Nesting(Parser &P) : P(P), Saved(P.Depth) {}
+    Nesting(const Nesting &) = delete;
+    ~Nesting() { P.Depth = Saved; }
+    bool deeper();
+  };
+
+  void error(SourceLoc Loc, std::string Message);
 
   const Token &peek(size_t Ahead = 0) const;
   const Token &advance();

@@ -3,7 +3,9 @@
 #include "support/HeapGraph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 using namespace tfgc;
@@ -29,6 +31,31 @@ void putStr(std::string &S, const std::string &Str) {
 
 constexpr uint32_t NoNode = ~0u;
 
+/// Adjacency lists in compressed-row form: the targets of node V are
+/// Dst[Off[V] .. Off[V+1]).
+struct Csr {
+  std::vector<uint32_t> Off;
+  std::vector<uint32_t> Dst;
+
+  std::span<const uint32_t> of(uint32_t V) const {
+    return {Dst.data() + Off[V], Dst.data() + Off[V + 1]};
+  }
+
+  /// Builds the lists of \p NumNodes nodes from \p ForEach, which calls
+  /// its argument Add(From, To) for every arc; arcs keep their order.
+  template <typename F> static Csr build(size_t NumNodes, F ForEach) {
+    Csr C;
+    C.Off.assign(NumNodes + 1, 0);
+    ForEach([&](uint32_t From, uint32_t) { ++C.Off[From + 1]; });
+    for (size_t V = 0; V < NumNodes; ++V)
+      C.Off[V + 1] += C.Off[V];
+    C.Dst.resize(C.Off[NumNodes]);
+    std::vector<uint32_t> Fill(C.Off.begin(), C.Off.end() - 1);
+    ForEach([&](uint32_t From, uint32_t To) { C.Dst[Fill[From]++] = To; });
+    return C;
+  }
+};
+
 } // namespace
 
 bool HeapGraph::openFile(const std::string &Path, std::string *Err) {
@@ -43,10 +70,12 @@ bool HeapGraph::openFile(const std::string &Path, std::string *Err) {
 }
 
 void HeapGraph::configure(const std::vector<AllocSiteDesc> *S,
-                          const std::vector<std::string> *F, bool Tagged) {
+                          const std::vector<std::string> *F, bool Tagged,
+                          unsigned TopN) {
   Sites = S;
   FuncNames = F;
   TaggedHeaders = Tagged;
+  TopRetainers = TopN;
 }
 
 bool HeapGraph::beginCapture(GcEventKind Kind) {
@@ -61,8 +90,7 @@ bool HeapGraph::beginCapture(GcEventKind Kind) {
   ++EligibleSeen;
   if (EligibleSeen % Every != 0)
     return false;
-  Nodes.clear();
-  Edges.clear();
+  resetCapture();
   return true;
 }
 
@@ -84,19 +112,28 @@ void HeapGraph::finalizeCapture(
   std::sort(Nodes.begin(), Nodes.end(),
             [](const NodeRec &A, const NodeRec &B) { return A.Addr < B.Addr; });
   const size_t N = Nodes.size();
+  // Address -> node index, by open addressing in a table at most half
+  // full: every edge and root is resolved through it.
+  const unsigned Bits = (unsigned)std::bit_width(2 * N + 1);
+  std::vector<uint32_t> Slot((size_t)1 << Bits, NoNode);
+  const size_t Mask = Slot.size() - 1;
+  auto Home = [&](Word W) {
+    return (size_t)((W * 0x9E3779B97F4A7C15ull) >> (64 - Bits));
+  };
+  for (uint32_t I = 0; I < (uint32_t)N; ++I) {
+    size_t H = Home(Nodes[I].Addr);
+    while (Slot[H] != NoNode)
+      H = (H + 1) & Mask;
+    Slot[H] = I;
+  }
   auto FindNode = [&](Word W) -> uint32_t {
-    auto It = std::lower_bound(
-        Nodes.begin(), Nodes.end(), W,
-        [](const NodeRec &A, Word V) { return A.Addr < V; });
-    if (It == Nodes.end() || It->Addr != W)
-      return NoNode;
-    return (uint32_t)(It - Nodes.begin());
+    for (size_t H = Home(W);; H = (H + 1) & Mask)
+      if (Slot[H] == NoNode || Nodes[Slot[H]].Addr == W)
+        return Slot[H];
   };
 
   // Resolve recorded references against the node set. Children that are
-  // no object (immediates, nulls) drop out here; under the tag-free
-  // models an unboxed value whose bits collide with a node address adds
-  // a conservative extra edge — same caveat as the retention pass.
+  // no object (nullary constructors, nulls) drop out here.
   std::vector<std::array<uint32_t, 3>> E; // {src, field, dst}
   uint64_t Dropped = 0;
   E.reserve(Edges.size() / 2);
@@ -132,27 +169,28 @@ void HeapGraph::finalizeCapture(
   // -- Dominators (Cooper-Harvey-Kennedy) over the captured graph, from
   // a virtual root N whose successors are the resolved root nodes.
   const uint32_t RootN = (uint32_t)N;
-  std::vector<std::vector<uint32_t>> Succ(N + 1);
-  for (const auto &[RI, NI] : RootsResolved)
-    Succ[RootN].push_back(NI);
-  for (const auto &Ed : E)
-    Succ[Ed[0]].push_back(Ed[2]);
+  Csr Succ = Csr::build(N + 1, [&](auto &&Add) {
+    for (const auto &[RI, NI] : RootsResolved)
+      Add(RootN, NI);
+    for (const auto &Ed : E)
+      Add(Ed[0], Ed[2]);
+  });
 
   std::vector<int> RpoNum(N + 1, -1);
   std::vector<uint32_t> Order;
   {
     std::vector<uint32_t> Post;
-    std::vector<std::pair<uint32_t, size_t>> Stack;
+    std::vector<std::pair<uint32_t, uint32_t>> Stack; // (node, next edge)
     std::vector<uint8_t> Visited(N + 1, 0);
-    Stack.push_back({RootN, 0});
+    Stack.push_back({RootN, Succ.Off[RootN]});
     Visited[RootN] = 1;
     while (!Stack.empty()) {
       auto &[V, Ei] = Stack.back();
-      if (Ei < Succ[V].size()) {
-        uint32_t W = Succ[V][Ei++];
+      if (Ei < Succ.Off[V + 1]) {
+        uint32_t W = Succ.Dst[Ei++];
         if (!Visited[W]) {
           Visited[W] = 1;
-          Stack.push_back({W, 0});
+          Stack.push_back({W, Succ.Off[W]});
         }
       } else {
         Post.push_back(V);
@@ -163,11 +201,11 @@ void HeapGraph::finalizeCapture(
     for (size_t I = 0; I < Order.size(); ++I)
       RpoNum[Order[I]] = (int)I;
   }
-  std::vector<std::vector<uint32_t>> Pred(N + 1);
-  for (uint32_t V : Order)
-    for (uint32_t W : Succ[V])
-      if (RpoNum[W] >= 0)
-        Pred[W].push_back(V);
+  Csr Pred = Csr::build(N + 1, [&](auto &&Add) {
+    for (uint32_t V : Order)
+      for (uint32_t W : Succ.of(V))
+        Add(W, V);
+  });
 
   std::vector<int> Idom(N + 1, -1);
   Idom[RootN] = (int)RootN;
@@ -185,7 +223,7 @@ void HeapGraph::finalizeCapture(
     for (size_t I = 1; I < Order.size(); ++I) {
       uint32_t V = Order[I];
       int NewIdom = -1;
-      for (uint32_t P : Pred[V]) {
+      for (uint32_t P : Pred.of(V)) {
         if (Idom[P] == -1)
           continue;
         NewIdom = NewIdom == -1 ? (int)P : Intersect((int)P, NewIdom);
@@ -207,6 +245,75 @@ void HeapGraph::finalizeCapture(
       Retained[(size_t)Idom[V]] += Retained[V];
   }
 
+  // -- Per-object retainer rows: the top objects by retained size (ties
+  // in reverse postorder), each with one sample root path climbed from
+  // BFS parents and labelled by the first root slot that reaches it.
+  std::vector<RetainerInfo> Top;
+  if (TopRetainers) {
+    std::vector<uint32_t> FirstRoot(N, NoNode); // Index into Roots.
+    for (const auto &[RI, NI] : RootsResolved)
+      if (FirstRoot[NI] == NoNode)
+        FirstRoot[NI] = RI;
+    std::vector<int> Parent(N + 1, -1);
+    {
+      std::vector<uint32_t> Queue{RootN};
+      std::vector<uint8_t> Seen(N + 1, 0);
+      Seen[RootN] = 1;
+      for (size_t Qi = 0; Qi < Queue.size(); ++Qi)
+        for (uint32_t W : Succ.of(Queue[Qi]))
+          if (!Seen[W]) {
+            Seen[W] = 1;
+            Parent[W] = (int)Queue[Qi];
+            Queue.push_back(W);
+          }
+    }
+    auto Descr = [&](uint32_t V) {
+      std::string S = censusKindName((CensusKind)Nodes[V].Kind);
+      if (Nodes[V].Site < SiteCount) {
+        const AllocSiteDesc &D = (*Sites)[Nodes[V].Site];
+        S += "@" + D.Func;
+        if (D.Line)
+          S += ":" + std::to_string(D.Line);
+      }
+      return S;
+    };
+    std::vector<uint32_t> Ranked(Order.begin() + 1, Order.end());
+    size_t K = std::min<size_t>(TopRetainers, Ranked.size());
+    std::partial_sort(Ranked.begin(), Ranked.begin() + K, Ranked.end(),
+                      [&](uint32_t A, uint32_t B) {
+                        if (Retained[A] != Retained[B])
+                          return Retained[A] > Retained[B];
+                        return RpoNum[A] < RpoNum[B];
+                      });
+    Ranked.resize(K);
+    for (uint32_t V : Ranked) {
+      RetainerInfo R;
+      R.Addr = Nodes[V].Addr;
+      R.Site = Nodes[V].Site < SiteCount ? Nodes[V].Site
+                                         : HeapProfiler::UnknownSite;
+      R.Kind = (CensusKind)Nodes[V].Kind;
+      R.SelfBytes = Nodes[V].Words * sizeof(Word);
+      R.RetainedBytes = Retained[V];
+      // Cap the sample path so a deep list spine reports its head, not a
+      // thousand hops.
+      std::vector<uint32_t> Chain;
+      for (int C = (int)V; C != (int)RootN && C >= 0 && Chain.size() < 64;
+           C = Parent[C])
+        Chain.push_back((uint32_t)C);
+      if (!Chain.empty() && FirstRoot[Chain.back()] != NoNode) {
+        const HeapRoot &Root = Roots[FirstRoot[Chain.back()]];
+        std::string Fn = FuncNames && Root.Func < FuncNames->size()
+                             ? (*FuncNames)[Root.Func]
+                             : "fn" + std::to_string(Root.Func);
+        R.Path.push_back(Fn + ":slot" + std::to_string(Root.Slot));
+      }
+      size_t Shown = 0;
+      for (size_t I = Chain.size(); I-- > 0 && Shown < 12; ++Shown)
+        R.Path.push_back(Descr(Chain[I]));
+      Top.push_back(std::move(R));
+    }
+  }
+
   // -- Per-site retained with same-site dedup: a node contributes its
   // retained bytes to its site only when no *strict* dominator ancestor
   // shares the site — a list spine of one site counts its head once,
@@ -214,10 +321,11 @@ void HeapGraph::finalizeCapture(
   // tree with per-site depth counters does it in O(n).
   std::vector<uint64_t> SiteRetainedB(NumSlots, 0);
   {
-    std::vector<std::vector<uint32_t>> Kids(N + 1);
-    for (uint32_t V = 0; V < (uint32_t)N; ++V)
-      if (RpoNum[V] >= 0 && Idom[V] >= 0 && Idom[V] != (int)V)
-        Kids[(size_t)Idom[V]].push_back(V);
+    Csr Kids = Csr::build(N + 1, [&](auto &&Add) {
+      for (uint32_t V = 0; V < (uint32_t)N; ++V)
+        if (RpoNum[V] >= 0 && Idom[V] >= 0 && Idom[V] != (int)V)
+          Add((uint32_t)Idom[V], V);
+    });
     std::vector<uint32_t> SiteDepth(NumSlots, 0);
     // (node, entered) DFS; RootN has no site.
     std::vector<std::pair<uint32_t, bool>> Stack{{RootN, false}};
@@ -236,7 +344,7 @@ void HeapGraph::finalizeCapture(
           SiteRetainedB[Slot] += Retained[V];
         ++SiteDepth[Slot];
       }
-      for (uint32_t K : Kids[V])
+      for (uint32_t K : Kids.of(V))
         Stack.push_back({K, false});
     }
   }
@@ -251,6 +359,7 @@ void HeapGraph::finalizeCapture(
   Last.Edges = E.size();
   Last.DroppedEdges = Dropped;
   Last.RootRefs = RootsResolved.size();
+  Last.Retainers = std::move(Top);
   for (const NodeRec &Nd : Nodes) {
     // Graph-derived census (the chunk footer carries the profiler's own
     // tallies; tests and --check compare the two).
@@ -306,27 +415,31 @@ void HeapGraph::finalizeCapture(
   HavePrev = true;
 
   // -- Serialize, stream, publish. Flushed per chunk so an abnormal
-  // exit (verify violation, crash) keeps everything captured so far.
-  std::string Body = serializeChunk(Seq, Kind, CoveredBytes, RootsResolved,
-                                    Roots, E, Lifetimes, AllocCounts, ByKind);
-  std::string Framed;
-  Framed.reserve(Body.size() + 12);
-  Framed += "TFGH";
-  Framed.push_back((char)1); // version
-  Framed.push_back((char)(TaggedHeaders ? 1 : 0));
-  Framed.push_back(0);
-  Framed.push_back(0);
-  uint32_t Len = (uint32_t)Body.size();
-  for (int I = 0; I < 4; ++I)
-    Framed.push_back((char)((Len >> (8 * I)) & 0xff));
-  Framed += Body;
-  if (OutOpen) {
-    Out.write(Framed.data(), (std::streamsize)Framed.size());
-    Out.flush();
+  // exit (verify violation, crash) keeps everything captured so far. A
+  // retainer-only capture has no destination and stays in memory.
+  if (OutOpen || Sink) {
+    std::string Body = serializeChunk(Seq, Kind, CoveredBytes, RootsResolved,
+                                      Roots, E, Lifetimes, AllocCounts,
+                                      ByKind);
+    std::string Framed;
+    Framed.reserve(Body.size() + 12);
+    Framed += "TFGH";
+    Framed.push_back((char)1); // version
+    Framed.push_back((char)(TaggedHeaders ? 1 : 0));
+    Framed.push_back(0);
+    Framed.push_back(0);
+    uint32_t Len = (uint32_t)Body.size();
+    for (int I = 0; I < 4; ++I)
+      Framed.push_back((char)((Len >> (8 * I)) & 0xff));
+    Framed += Body;
+    if (OutOpen) {
+      Out.write(Framed.data(), (std::streamsize)Framed.size());
+      Out.flush();
+    }
+    ++Chunks;
+    if (Sink)
+      Sink(Framed);
   }
-  ++Chunks;
-  if (Sink)
-    Sink(Framed);
 
   Nodes.clear();
   Edges.clear();
@@ -403,23 +516,13 @@ std::string HeapGraph::serializeChunk(
   }
 
   // Cumulative per-site lifetime stats (empty when site tracking off).
-  size_t LifeRows = 0;
-  for (size_t I = 0; I < Lifetimes.size(); ++I) {
+  std::vector<size_t> LifeRows;
+  for (size_t I = 0; I < Lifetimes.size(); ++I)
+    if (Lifetimes[I].any() || (I < AllocCounts.size() && AllocCounts[I]))
+      LifeRows.push_back(I);
+  putVarint(B, LifeRows.size());
+  for (size_t I : LifeRows) {
     const HeapProfiler::SiteLifetime &L = Lifetimes[I];
-    bool Any = L.Deaths || L.PromotedObjects;
-    for (uint64_t S : L.Survived)
-      Any = Any || S;
-    if (Any || (I < AllocCounts.size() && AllocCounts[I]))
-      ++LifeRows;
-  }
-  putVarint(B, LifeRows);
-  for (size_t I = 0; I < Lifetimes.size(); ++I) {
-    const HeapProfiler::SiteLifetime &L = Lifetimes[I];
-    bool Any = L.Deaths || L.PromotedObjects;
-    for (uint64_t S : L.Survived)
-      Any = Any || S;
-    if (!Any && !(I < AllocCounts.size() && AllocCounts[I]))
-      continue;
     putVarint(B, I);
     for (uint64_t S : L.Survived)
       putVarint(B, S);

@@ -10,18 +10,26 @@
 /// collection. `tools/heap_graph_report.py` decodes, checks, and diffs
 /// the chunks.
 ///
+/// The edges come from the tracers' typed hooks: a field yields an edge
+/// only when its reconstructed type can hold a reference, so the graph is
+/// exact — no word is ever guessed to be a pointer because its bits match
+/// a live address. This capture is the runtime's only object graph and
+/// its dominator pass the only one: `--retainers=N` (the per-object
+/// retained-size report of the profiler snapshot) is computed here too.
+///
 /// Capture policy: graphs are captured at **full and major** collections
 /// only (a minor's trace covers the nursery, so its "graph" would dangle
-/// into the untraced tenured set — the same reason the retention pass
-/// skips minors), every `--heap-dump-every=N`-th eligible collection.
-/// Chunks are serialized and flushed as soon as the collection finishes,
-/// so a run that exits abnormally (e.g. verify-violation exit 3) still
-/// leaves every captured chunk decodable on disk; the Cli artifact-flush
-/// path calls finish() to close the stream on every exit.
+/// into the untraced tenured set), every `--heap-dump-every=N`-th
+/// eligible collection. A retainer-only capture stays in memory; with a
+/// file or sink, chunks are serialized and
+/// flushed as soon as the collection finishes, so a run that exits
+/// abnormally (e.g. verify-violation exit 3) still leaves every captured
+/// chunk decodable on disk; the Cli artifact-flush path calls finish() to
+/// close the stream on every exit.
 ///
 /// Each chunk carries, besides nodes (address, census kind, alloc site —
 /// whose static type string reconstructs the node's type — and size) and
-/// edges (field index), the per-site *retained* sizes computed by a
+/// edges (field index), the per-site *retained* sizes computed by the
 /// dominator pass over the captured graph, their deltas against the
 /// previous capture (the differential leak-attribution signal), and the
 /// cumulative per-site lifetime statistics the profiler maintains
@@ -90,15 +98,16 @@ public:
     Sink = std::move(S);
   }
 
-  /// Site/function tables and the header model, borrowed from the
+  /// Site/function tables, the header model, and the number of
+  /// per-object retainer rows to report (0 = none), borrowed from the
   /// profiler's configuration (stable after driver setup).
   void configure(const std::vector<AllocSiteDesc> *Sites,
                  const std::vector<std::string> *FuncNames,
-                 bool TaggedHeaders);
+                 bool TaggedHeaders, unsigned TopRetainers);
 
-  /// True once a destination (file or sink) exists — without one every
-  /// capture hook is a no-op.
-  bool active() const { return OutOpen || (bool)Sink; }
+  /// True once a consumer (file, sink, or retainer report) exists —
+  /// without one every capture hook is a no-op.
+  bool active() const { return OutOpen || (bool)Sink || TopRetainers; }
 
   // -- Capture lifecycle (driven by the HeapProfiler) ----------------------
 
@@ -125,7 +134,8 @@ public:
   }
 
   /// Ends a capture: resolves edges against the node set, runs the
-  /// dominator pass for per-site retained sizes, serializes the chunk,
+  /// dominator pass for per-site retained sizes and the top retainer
+  /// rows, and — when a file or sink exists — serializes the chunk and
   /// appends it to the dump file (flushed immediately) and the sink.
   /// \p Lifetimes/\p AllocCounts may be empty when site tracking is off.
   void finalizeCapture(
@@ -152,6 +162,9 @@ public:
     std::array<HeapProfiler::Tally, NumCensusKinds> ByKind{};
     /// Ranked by RetainedBytes descending.
     std::vector<SiteRetainedRow> Retained;
+    /// The top objects by retained size (configure()'s TopRetainers),
+    /// ranked descending, each with a sample root path.
+    std::vector<RetainerInfo> Retainers;
   };
   const CaptureInfo &lastCapture() const { return Last; }
   uint64_t chunksWritten() const { return Chunks; }
@@ -187,6 +200,7 @@ private:
   const std::vector<AllocSiteDesc> *Sites = nullptr;
   const std::vector<std::string> *FuncNames = nullptr;
   bool TaggedHeaders = false;
+  unsigned TopRetainers = 0;
 
   std::ofstream Out;
   bool OutOpen = false;

@@ -21,12 +21,12 @@
 ///    collection, so the table follows objects through semispace flips,
 ///    nursery evacuation, and promotion without touching the mutator.
 ///
-///  * **Retention diagnostics.** Optionally the visit stream also records
-///    an object list; after the trace the profiler scans the live objects'
-///    payloads against the recorded address set to recover the reference
-///    graph, computes retained sizes via a dominator tree (Cooper-Harvey-
-///    Kennedy over the rooted graph), and reports the top-N dominators
-///    with a sample root path (stack frame + slot from the frame roots).
+///  * **Retention diagnostics.** Optionally each full/major collection's
+///    object graph is captured by the HeapGraph (support/HeapGraph.h)
+///    from the tracers' typed edge hooks; its dominator pass (Cooper-
+///    Harvey-Kennedy over the rooted graph) yields retained sizes, and the
+///    snapshot reports the top-N dominators with a sample root path
+///    (stack frame + slot from the frame roots).
 ///
 /// The profiler is paused during the post-GC verify pass (which re-runs
 /// the tracers) exactly like the telemetry census, so its per-collection
@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,9 @@ public:
   /// whose address was never logged).
   static constexpr uint32_t UnknownSite = ~0u;
 
+  HeapProfiler();
+  ~HeapProfiler();
+
   struct Tally {
     uint64_t Objects = 0;
     uint64_t Words = 0;
@@ -107,6 +111,14 @@ public:
     /// Census words (payload + tagged header) promoted to tenured —
     /// sums across sites to `gc.promoted_words`.
     uint64_t PromotedWords = 0;
+
+    /// Anything observed (the dumps list only such sites).
+    bool any() const {
+      bool Any = Deaths || PromotedObjects;
+      for (uint64_t S : Survived)
+        Any = Any || S;
+      return Any;
+    }
   };
 
   /// The ages the survival curve samples.
@@ -173,20 +185,20 @@ public:
     FuncNames = std::move(Names);
   }
 
-  /// Report the top \p N retainers after each full/major collection
-  /// (0 disables the retention pass entirely).
-  void setRetainers(unsigned N) { TopRetainers = N; }
-  bool wantsRetention() const { return Enabled && TopRetainers > 0; }
+  /// Report the top \p N retainers of each captured full/major
+  /// collection's graph (0 disables them). Without an attached HeapGraph
+  /// the profiler captures into a private, in-memory one.
+  void setRetainers(unsigned N);
 
-  /// Object words include a header word under the tagged model; the edge
-  /// scan must skip it and filter candidates by the pointer tag.
+  /// Object words include a header word under the tagged model; graph
+  /// capture filters references by the pointer tag.
   void setTaggedHeaders(bool T) { TaggedHeaders = T; }
 
   void setLabel(std::string L) { Label = std::move(L); }
 
   /// Attaches the heap-graph dumper; beginCollection asks it whether to
   /// capture this collection's graph and the visit/edge hooks feed it.
-  void setHeapGraph(HeapGraph *G) { Graph = G; }
+  void setHeapGraph(HeapGraph *G);
 
   // -- Heap-graph hooks (tracer hot path) -----------------------------------
 
@@ -199,8 +211,8 @@ public:
   /// edgesActive()). Out-of-line so this header needn't see HeapGraph.
   void recordEdge(Word Parent, uint32_t Field, Word Child);
 
-  /// The collector captures stack roots when either consumer needs them.
-  bool wantsRoots() const { return wantsRetention() || GraphActive; }
+  /// The collector captures stack roots for the graph capture.
+  bool wantsRoots() const { return GraphActive; }
 
   // -- Mutator hot path -----------------------------------------------------
 
@@ -250,8 +262,8 @@ public:
   /// Ends the collection: rebuilds the side table for the next cycle
   /// (keeping unvisited entries that \p KeepUnvisited says survived — the
   /// tenured objects a minor collection never traces), snapshots the
-  /// tallies, and (when enabled and the collection covered the full
-  /// graph) runs the retention pass over \p Roots.
+  /// tallies, and finalizes this collection's graph capture (if any) over
+  /// \p Roots — the snapshot's retainers come from it.
   void finishCollection(uint64_t CoveredBytes,
                         const std::function<bool(Word)> &KeepUnvisited,
                         std::vector<HeapRoot> Roots);
@@ -297,13 +309,6 @@ private:
     uint32_t Site;
     uint32_t AgeBits = 0;
   };
-  struct ObjRec {
-    Word Addr;
-    uint32_t Site;
-    CensusKind Kind;
-    uint64_t Words;
-  };
-
   void resetCollectionTallies();
   void buildLookupIndex();
   /// Finds (and consumes) the Lookup entry for \p OldRef; SIZE_MAX on
@@ -313,7 +318,6 @@ private:
   /// histograms (they were live last cycle and were not visited by a
   /// full-coverage trace — dead).
   void accountDeaths(const std::function<bool(Word)> &Keep);
-  void computeRetention(const std::vector<HeapRoot> &Roots);
 
   bool Enabled = false;
   bool Paused = false;
@@ -390,11 +394,9 @@ private:
   std::array<uint64_t, 8> CurAgeHist{};
 
   HeapGraph *Graph = nullptr;
+  /// The private graph serving retainers when none is attached.
+  std::unique_ptr<HeapGraph> OwnGraph;
   bool GraphActive = false; ///< This collection's graph is being captured.
-
-  /// Live-object records for the retention pass (only filled when
-  /// wantsRetention()).
-  std::vector<ObjRec> Objects;
 
   Snapshot Snap;
 };

@@ -241,25 +241,6 @@ const std::string &Monitor::funcName(uint32_t Func) const {
 
 namespace {
 
-/// JSON string escaping for labels/function names.
-std::string jsonStr(const std::string &S) {
-  std::string Out = "\"";
-  for (char C : S) {
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if ((unsigned char)C < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", (unsigned)C);
-      Out += Buf;
-    } else {
-      Out += C;
-    }
-  }
-  Out += '"';
-  return Out;
-}
-
 std::string fmtFrac(double V) {
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "%.6f", V);
@@ -272,7 +253,7 @@ void Monitor::emitHeader() {
   *Stream << "{\"type\": \"header\", \"schema\": " << StreamSchema
           << ", \"tool\": \"tfgc-monitor\"";
   if (!Label.empty())
-    *Stream << ", \"label\": " << jsonStr(Label);
+    *Stream << ", \"label\": " << jsonQuote(Label);
   *Stream << ", \"sample_period_steps\": " << Opts.SamplePeriodSteps
           << ", \"heartbeat_period_ms\": " << Opts.HeartbeatPeriodMs
           << "}\n";
@@ -367,7 +348,7 @@ void Monitor::finish() {
   uint64_t Wall = wallNs();
   OS << "{\"type\": \"summary\", \"schema\": " << StreamSchema;
   if (!Label.empty())
-    OS << ", \"label\": " << jsonStr(Label);
+    OS << ", \"label\": " << jsonQuote(Label);
   OS << ", \"wall_ns\": " << Wall << ", \"mutator_ns\": " << MutatorNsTotal
      << ", \"gc_ns\": " << gcNs() << ", \"collections\": " << Collections
      << ", \"steps\": " << stepsObserved() << ", \"samples\": " << Samples
@@ -394,7 +375,7 @@ void Monitor::finish() {
     Top.resize(64);
   OS << ", \"profile_flat\": [";
   for (size_t I = 0; I < Top.size(); ++I)
-    OS << (I ? ", " : "") << "{\"func\": " << jsonStr(funcName(Top[I].second))
+    OS << (I ? ", " : "") << "{\"func\": " << jsonQuote(funcName(Top[I].second))
        << ", \"samples\": " << Top[I].first << "}";
   OS << "]";
 
@@ -409,8 +390,8 @@ void Monitor::finish() {
   for (size_t I = 0; I < TopEdges.size(); ++I) {
     uint32_t Caller = (uint32_t)(TopEdges[I].second >> 32);
     uint32_t Callee = (uint32_t)TopEdges[I].second;
-    OS << (I ? ", " : "") << "{\"caller\": " << jsonStr(funcName(Caller))
-       << ", \"func\": " << jsonStr(funcName(Callee))
+    OS << (I ? ", " : "") << "{\"caller\": " << jsonQuote(funcName(Caller))
+       << ", \"func\": " << jsonQuote(funcName(Callee))
        << ", \"samples\": " << TopEdges[I].first << "}";
   }
   OS << "]";

@@ -35,6 +35,24 @@ const char *tfgc::gcEventKindName(GcEventKind K) {
   return "?";
 }
 
+std::string tfgc::jsonQuote(const std::string &S) {
+  std::string Out = "\"";
+  for (char C : S) {
+    if (C == '"' || C == '\\') {
+      Out += '\\';
+      Out += C;
+    } else if ((unsigned char)C < 0x20) {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", (unsigned)C);
+      Out += Buf;
+    } else {
+      Out += C;
+    }
+  }
+  Out += '"';
+  return Out;
+}
+
 const char *tfgc::censusKindName(CensusKind K) {
   switch (K) {
   case CensusKind::Tuple:      return "tuple";
@@ -70,9 +88,7 @@ uint64_t LogHistogram::percentile(double P) const {
   return MaxV;
 }
 
-Telemetry::Telemetry(size_t RingCapacity)
-    : Ring(RingCapacity ? RingCapacity : 1),
-      Epoch(std::chrono::steady_clock::now()) {}
+Telemetry::Telemetry() : Epoch(std::chrono::steady_clock::now()) {}
 
 uint64_t Telemetry::nowNs() const {
   return (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -136,7 +152,7 @@ void Telemetry::finishCollection(uint64_t LiveWordsAfter,
   if (TraceStream)
     emitTraceEvents(Event);
 
-  Ring[(size_t)(TotalCollections % Ring.size())] = Event;
+  Ring[(size_t)(TotalCollections % RingCapacity)] = Event;
   ++TotalCollections;
   InCollection = false;
   if (Flight) [[unlikely]]
@@ -148,10 +164,7 @@ void Telemetry::finishCollection(uint64_t LiveWordsAfter,
 
 const GcEvent &Telemetry::event(size_t I) const {
   assert(I < ringSize() && "event index out of range");
-  size_t Oldest = TotalCollections <= Ring.size()
-                      ? 0
-                      : (size_t)(TotalCollections % Ring.size());
-  return Ring[(Oldest + I) % Ring.size()];
+  return Ring[(size_t)((TotalCollections - ringSize() + I) % RingCapacity)];
 }
 
 uint64_t Telemetry::censusObjectsTotal() const {
@@ -287,7 +300,7 @@ void histJson(std::ostream &OS, const LogHistogram &H) {
 void Telemetry::writeStatsJson(std::ostream &OS, const Stats &St) const {
   OS << "{\n  \"schema\": 1,\n";
   if (!Label.empty())
-    OS << "  \"label\": \"" << Label << "\",\n";
+    OS << "  \"label\": " << jsonQuote(Label) << ",\n";
   const BuildInfo &BI = buildInfo();
   OS << "  \"build\": {\"git_sha\": \"" << BI.GitSha << "\", \"dispatch\": \""
      << BI.Dispatch << "\", \"sanitizer\": \"" << BI.Sanitizer
@@ -328,11 +341,9 @@ void Telemetry::writeStatsJson(std::ostream &OS, const Stats &St) const {
        << ", \"words\": " << CensusWordTotals[I] << "}";
   }
   OS << "},\n  \"recent_collections\": [\n";
-  // Newest events only, capped so the dump stays readable.
+  // The ring holds the newest events, as many as keep the dump readable.
   size_t N = ringSize();
-  size_t MaxRecent = 64;
-  size_t Begin = N > MaxRecent ? N - MaxRecent : 0;
-  for (size_t I = Begin; I < N; ++I) {
+  for (size_t I = 0; I < N; ++I) {
     const GcEvent &E = event(I);
     OS << "    {\"seq\": " << E.Seq << ", \"kind\": \""
        << gcEventKindName(E.Kind) << "\", \"start_ns\": " << E.StartNs

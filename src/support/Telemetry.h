@@ -32,11 +32,11 @@
 ///    increments exactly, so (with post-GC verification off) the census
 ///    totals equal those counters.
 ///
-///  * **Ring buffer.** One fixed-size GcEvent per collection, preallocated
-///    at construction: the GC path allocates nothing and keeps the newest
-///    `ringCapacity()` collections for inspection. Cumulative aggregates
-///    (histograms, phase totals, census totals) cover *all* collections
-///    regardless of ring size.
+///  * **Ring buffer.** One fixed-size GcEvent per collection, held inline:
+///    the GC path allocates nothing and keeps the newest `RingCapacity`
+///    collections — exactly the ones `--stats-json` lists. Cumulative
+///    aggregates (histograms, phase totals, census totals) cover *all*
+///    collections regardless of ring size.
 ///
 /// Export paths (all opt-in; the sinks may allocate, the ring never does):
 /// a structured one-line-per-collection log (`--gc-log`), a streaming
@@ -100,6 +100,9 @@ enum class CensusKind : uint8_t {
 };
 inline constexpr size_t NumCensusKinds = (size_t)CensusKind::NumKinds;
 const char *censusKindName(CensusKind K);
+
+/// \p S as a quoted, escaped JSON string — shared by every JSON writer.
+std::string jsonQuote(const std::string &S);
 
 /// Thread-local census accumulator for parallel trace workers: each worker
 /// counts first visits into its own instance (no shared-memory traffic on
@@ -212,8 +215,9 @@ public:
 
 class Telemetry {
 public:
-  static constexpr size_t DefaultRingCapacity = 1024;
-  explicit Telemetry(size_t RingCapacity = DefaultRingCapacity);
+  /// The newest collections kept for inspection (and --stats-json).
+  static constexpr size_t RingCapacity = 64;
+  Telemetry();
 
   /// Nanoseconds since this Telemetry was constructed — the timebase of
   /// GcEvent::StartNs, exposed so mutator-side interval timestamps (the
@@ -293,10 +297,9 @@ public:
 
   // -- Inspection -----------------------------------------------------------
   uint64_t collections() const { return TotalCollections; }
-  size_t ringCapacity() const { return Ring.size(); }
   size_t ringSize() const {
-    return TotalCollections < Ring.size() ? (size_t)TotalCollections
-                                          : Ring.size();
+    return TotalCollections < RingCapacity ? (size_t)TotalCollections
+                                           : RingCapacity;
   }
   /// Retained events oldest-first: event(0) is the oldest still in the
   /// ring, event(ringSize()-1) the newest.
@@ -345,7 +348,7 @@ private:
   void emitLogLine(const GcEvent &E) const;
   void emitTraceEvents(const GcEvent &E);
 
-  std::vector<GcEvent> Ring;
+  std::array<GcEvent, RingCapacity> Ring;
   GcEvent Event;
   uint64_t TotalCollections = 0;
   GcPhase Cur = GcPhase::NumPhases; ///< NumPhases = no active phase.

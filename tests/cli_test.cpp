@@ -176,6 +176,30 @@ TEST(Cli, ExitCodeOneOnCompileError) {
   EXPECT_EQ(runTfgc(O), 1);
 }
 
+TEST(Cli, OutOfRangeIntegerLiteralExitsOne) {
+  // Unchecked, the literal would saturate to a value that prints
+  // differently per strategy (INT64_MAX tag-free, -1 tagged).
+  for (const char *Strategy : {"--strategy=compiled", "--strategy=tagged"})
+    for (const char *Src : {"99999999999999999999", "~9223372036854775808"}) {
+      CliOptions O;
+      ASSERT_TRUE(parseOk({Strategy, "-e", Src}, O));
+      EXPECT_EQ(runTfgc(O), 1) << Strategy << " " << Src;
+    }
+}
+
+TEST(Cli, DeepNestingExitsOne) {
+  const size_t N = 100000;
+  std::string Chain = "1";
+  for (size_t I = 1; I < N; ++I)
+    Chain += " + 1";
+  for (const std::string &Src :
+       {std::string(N, '(') + "1" + std::string(N, ')'), Chain}) {
+    CliOptions O;
+    ASSERT_TRUE(parseOk({"-e", Src}, O));
+    EXPECT_EQ(runTfgc(O), 1);
+  }
+}
+
 TEST(Cli, VerifyViolationExitsThreeAndStillFlushesArtifacts) {
   // The satellite guarantee: a failing verify run must not lose its
   // diagnostics. Force violations with the injection hook and require the

@@ -5,8 +5,10 @@
 /// strategy and algorithm under post-GC verification, age-histogram
 /// totals, survival-curve monotonicity, promotion attribution summing
 /// exactly to gc.promoted_words, the minor-collection capture skip, the
-/// every-N gate, and differential leak attribution ranking a planted
-/// unbounded cache as suspect #1.
+/// every-N gate, differential leak attribution ranking a planted
+/// unbounded cache as suspect #1, the per-object retainer rows the
+/// capture serves, and an edge stream as exact under the interpreted
+/// method as under the compiled one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -323,4 +325,132 @@ TEST(HeapGraph, DetachedGraphIsInert) {
   ASSERT_TRUE(R);
   EXPECT_EQ(R->Graph.chunksWritten(), 0u);
   EXPECT_FALSE(R->Graph.lastCapture().Valid);
+}
+
+TEST(HeapGraph, InterpretedEdgesAreAsExactAsCompiled) {
+  // The edge stream is typed: a field yields an edge only when its type
+  // can hold a reference. The compiled routines omit leaf fields; the
+  // descriptor walk visits them too, and must still not report them —
+  // else an unboxed int whose bits equal a live address would become a
+  // false edge. Ints sit in tuples, lists, constructors and a ref here.
+  const char *Src = R"(
+datatype shape = Dot of int | Seg of int * int | Box of int * shape;
+fun pairs (n : int) : (int * int list) list =
+  if n = 0 then [] else (n, [n, n + 1]) :: pairs (n - 1);
+fun shapes (n : int) : shape list =
+  if n = 0 then [] else Box (n, Seg (n, n * 3)) :: Dot n :: shapes (n - 1);
+fun len (xs : int list) : int =
+  case xs of Nil => 0 | Cons(_, r) => 1 + len r;
+fun churn (i : int) (acc : int) : int =
+  if i = 0 then acc else churn (i - 1) (acc + len [i, i, i]);
+val keep = (pairs 30, shapes 30, ref 7);
+churn 3000 0 +
+  (case keep of
+     (Cons((_, xs), _), _, r) => len xs + !r
+   | (_, _, r) => !r)
+)";
+  struct First {
+    bool Seen = false;
+    uint64_t Nodes = 0, Edges = 0, DroppedEdges = 0;
+  };
+  auto FirstCapture = [&](GcStrategy S) {
+    First F;
+    Compiled C = compile(Src);
+    EXPECT_TRUE(C.P) << C.Error;
+    if (!C.P)
+      return F;
+    Stats St;
+    std::string Error;
+    auto Col = C.P->makeCollector(S, GcAlgorithm::Copying, 1 << 14, St,
+                                  &Error);
+    EXPECT_TRUE(Col) << Error;
+    if (!Col)
+      return F;
+    HeapProfiler Prof;
+    HeapGraph Graph;
+    attachHeapProfiler(*C.P, S, *Col, Prof);
+    Graph.setChunkSink([&](const std::string &) {
+      if (F.Seen)
+        return;
+      const HeapGraph::CaptureInfo &Cap = Graph.lastCapture();
+      F = {true, Cap.Nodes, Cap.Edges, Cap.DroppedEdges};
+    });
+    Prof.setHeapGraph(&Graph);
+    Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col, defaultVmOptions(S));
+    RunResult Run = M.run();
+    EXPECT_TRUE(Run.Ok) << Run.Error << " under " << gcStrategyName(S);
+    return F;
+  };
+  First Comp = FirstCapture(GcStrategy::CompiledTagFree);
+  First Interp = FirstCapture(GcStrategy::InterpretedTagFree);
+  ASSERT_TRUE(Comp.Seen);
+  ASSERT_TRUE(Interp.Seen);
+  // The kept structures are live at the first collection.
+  EXPECT_GT(Comp.Nodes, 200u);
+  EXPECT_GT(Comp.Edges, 200u);
+  EXPECT_EQ(Interp.Nodes, Comp.Nodes);
+  EXPECT_EQ(Interp.Edges, Comp.Edges);
+  EXPECT_EQ(Interp.DroppedEdges, Comp.DroppedEdges);
+}
+
+TEST(HeapGraph, RetainersAloneCaptureInMemory) {
+  // --retainers without --heap-dump: the capture runs with no file or
+  // sink, so nothing is serialized, yet the snapshot's retainer rows come
+  // from it — ranked, bounded by the covered heap, each with a path.
+  Compiled C = compile(LeakySrc);
+  ASSERT_TRUE(C.P) << C.Error;
+  Stats St;
+  std::string Error;
+  auto Col = C.P->makeCollector(GcStrategy::CompiledTagFree,
+                                GcAlgorithm::Copying, 1 << 14, St, &Error);
+  ASSERT_TRUE(Col) << Error;
+  HeapProfiler Prof;
+  HeapGraph Graph;
+  attachHeapProfiler(*C.P, GcStrategy::CompiledTagFree, *Col, Prof);
+  Prof.setHeapGraph(&Graph);
+  Prof.setRetainers(4);
+  Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col,
+       defaultVmOptions(GcStrategy::CompiledTagFree, /*GcStress=*/true));
+  ASSERT_TRUE(M.run().Ok);
+  EXPECT_EQ(Graph.chunksWritten(), 0u);
+  ASSERT_TRUE(Graph.lastCapture().Valid);
+  const HeapProfiler::Snapshot &Snap = Prof.snapshot();
+  ASSERT_TRUE(Snap.RetainersComputed);
+  ASSERT_FALSE(Snap.Retainers.empty());
+  EXPECT_LE(Snap.Retainers.size(), 4u);
+  EXPECT_LE(Snap.Retainers.front().RetainedBytes, Snap.CoveredBytes);
+  for (const RetainerInfo &RI : Snap.Retainers) {
+    EXPECT_GE(RI.RetainedBytes, RI.SelfBytes);
+    EXPECT_FALSE(RI.Path.empty());
+  }
+}
+
+TEST(HeapGraph, RetainersFollowTheCaptureGate) {
+  // With every-N captures, retention is computed exactly on the captured
+  // collections: the last snapshot has retainers iff it was captured.
+  for (uint64_t Every : {1u, 3u, 7u}) {
+    Compiled C = compile(LeakySrc);
+    ASSERT_TRUE(C.P) << C.Error;
+    Stats St;
+    std::string Error;
+    auto Col = C.P->makeCollector(GcStrategy::CompiledTagFree,
+                                  GcAlgorithm::Copying, 1 << 14, St, &Error);
+    ASSERT_TRUE(Col) << Error;
+    HeapProfiler Prof;
+    HeapGraph Graph;
+    uint64_t Chunks = 0;
+    attachHeapProfiler(*C.P, GcStrategy::CompiledTagFree, *Col, Prof);
+    Graph.setChunkSink([&](const std::string &) { ++Chunks; });
+    Graph.setEvery(Every);
+    Prof.setHeapGraph(&Graph);
+    Prof.setRetainers(2);
+    Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col,
+         defaultVmOptions(GcStrategy::CompiledTagFree, /*GcStress=*/true));
+    ASSERT_TRUE(M.run().Ok);
+    ASSERT_GT(Chunks, 0u) << Every;
+    const HeapProfiler::Snapshot &Snap = Prof.snapshot();
+    EXPECT_EQ(Snap.RetainersComputed, Graph.lastCapture().Seq == Snap.Seq)
+        << Every;
+    EXPECT_EQ(Snap.RetainersComputed, (Snap.Seq + 1) % Every == 0) << Every;
+  }
 }

@@ -246,4 +246,49 @@ TEST(Parser, MissingEnd) {
   EXPECT_FALSE(P.has_value());
 }
 
+TEST(Parser, OutOfRangeIntegerLiteralIsDiagnosed) {
+  // strtoll saturates both to INT64_MAX; the literal is rejected at its
+  // own location instead.
+  for (const char *Src : {"99999999999999999999", "~9223372036854775808"}) {
+    std::string Err;
+    EXPECT_FALSE(parse(Src, &Err).has_value()) << Src;
+    EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+    EXPECT_NE(Err.find(Src[0] == '~' ? "1:2:" : "1:1:"), std::string::npos)
+        << Err;
+  }
+  auto P = parse("9223372036854775807");
+  ASSERT_TRUE(P);
+  EXPECT_EQ(cast<IntExpr>(P->Main.get())->Value, INT64_MAX);
+}
+
+/// `1 + 1 + ... + 1` with \p Terms terms: a left-deep tree that deep.
+std::string plusChain(size_t Terms) {
+  std::string S = "1";
+  for (size_t I = 1; I < Terms; ++I)
+    S += " + 1";
+  return S;
+}
+
+TEST(Parser, NestingLimitIsExact) {
+  EXPECT_TRUE(parse(plusChain(Parser::MaxNesting)).has_value());
+  std::string Err;
+  EXPECT_FALSE(parse(plusChain(Parser::MaxNesting + 1), &Err).has_value());
+  EXPECT_NE(Err.find("nested too deeply"), std::string::npos) << Err;
+}
+
+TEST(Parser, DeepNestingGetsOneDiagnosticNotACrash) {
+  // Without the limit both shapes overflow the stack: the parens in the
+  // parser itself, the operator chain in the passes that walk its tree.
+  const size_t N = 100000;
+  std::string Parens = std::string(N, '(') + "1" + std::string(N, ')');
+  for (const std::string &Src : {Parens, plusChain(N)}) {
+    DiagnosticEngine Diags;
+    Lexer Lex(Src, Diags);
+    Parser P(Lex.tokenize(), Diags);
+    EXPECT_FALSE(P.parseProgram().has_value());
+    ASSERT_EQ(Diags.errorCount(), 1u) << Diags.render();
+    EXPECT_NE(Diags.render().find("nested too deeply"), std::string::npos);
+  }
+}
+
 } // namespace

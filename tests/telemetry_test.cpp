@@ -105,27 +105,48 @@ TEST(LogHistogram, PercentileMath) {
 //===----------------------------------------------------------------------===//
 
 TEST(Telemetry, RingKeepsNewest) {
-  Telemetry T(4);
-  EXPECT_EQ(T.ringCapacity(), 4u);
-  for (uint64_t I = 0; I < 10; ++I) {
+  constexpr uint64_t Cap = Telemetry::RingCapacity;
+  constexpr uint64_t Total = 2 * Cap + 6; // Wraps around twice.
+  Telemetry T;
+  for (uint64_t I = 0; I < Total; ++I) {
     T.beginCollection();
     EXPECT_TRUE(T.inCollection());
     T.finishCollection(/*LiveWordsAfter=*/I, /*HeapCapacityBytesAfter=*/64);
     EXPECT_FALSE(T.inCollection());
   }
-  EXPECT_EQ(T.collections(), 10u);
-  EXPECT_EQ(T.ringSize(), 4u);
-  // Oldest-first: collections 6..9 survive.
-  for (size_t I = 0; I < 4; ++I) {
-    EXPECT_EQ(T.event(I).Seq, 6u + I);
-    EXPECT_EQ(T.event(I).LiveWordsAfter, 6u + I);
+  EXPECT_EQ(T.collections(), Total);
+  EXPECT_EQ(T.ringSize(), Cap);
+  // Oldest-first: the newest Cap collections survive.
+  for (size_t I = 0; I < Cap; ++I) {
+    EXPECT_EQ(T.event(I).Seq, Total - Cap + I);
+    EXPECT_EQ(T.event(I).LiveWordsAfter, Total - Cap + I);
   }
-  // Aggregates still cover all ten collections.
-  EXPECT_EQ(T.pauseHistogram().count(), 10u);
+  // Aggregates still cover every collection.
+  EXPECT_EQ(T.pauseHistogram().count(), Total);
+}
+
+TEST(Telemetry, StatsJsonListsTheWholeRing) {
+  Telemetry T;
+  for (uint64_t I = 0; I < Telemetry::RingCapacity + 3; ++I) {
+    T.beginCollection();
+    T.finishCollection(0, 0);
+  }
+  Stats St;
+  std::ostringstream OS;
+  T.writeStatsJson(OS, St);
+  std::string J = OS.str();
+  size_t Listed = 0;
+  for (size_t P = J.find("{\"seq\": "); P != std::string::npos;
+       P = J.find("{\"seq\": ", P + 1))
+    ++Listed;
+  EXPECT_EQ(Listed, Telemetry::RingCapacity);
+  // The three oldest collections have left the ring.
+  EXPECT_EQ(J.find("{\"seq\": 2,"), std::string::npos);
+  EXPECT_NE(J.find("{\"seq\": 3,"), std::string::npos);
 }
 
 TEST(Telemetry, RingBeforeWraparound) {
-  Telemetry T(8);
+  Telemetry T;
   for (uint64_t I = 0; I < 3; ++I) {
     T.beginCollection();
     T.finishCollection(0, 0);
@@ -137,7 +158,7 @@ TEST(Telemetry, RingBeforeWraparound) {
 }
 
 TEST(Telemetry, PhaseSwitchIgnoredOutsideCollectionAndWhilePaused) {
-  Telemetry T(4);
+  Telemetry T;
   // Outside a collection: no phase opens.
   T.switchPhase(GcPhase::CopySweep);
   EXPECT_EQ(T.currentPhase(), GcPhase::NumPhases);
@@ -362,7 +383,7 @@ TEST(Telemetry, LogLineFormat) {
   // the line shape.
   std::FILE *F = std::tmpfile();
   ASSERT_NE(F, nullptr);
-  Telemetry T(4);
+  Telemetry T;
   T.setLabel("unit");
   T.setLogStream(F);
   T.beginCollection();

@@ -8,6 +8,13 @@ a real behavior change that slipped past the tests (an extra collection,
 a changed visit count, a lost superinstruction). Timings, by contrast,
 are machine-dependent: they are reported, never failed on.
 
+Rows of threaded runs (`threads` >= 2) are the exception: how the OS
+interleaves the mutators decides when each collection runs and what it
+finds live, so their GC-side counters differ run to run. Those counters
+(SCHED_DEPENDENT) are checked against the safepoint handshake's invariant
+instead — every GC request stops the world exactly once, in its own
+handshake epoch — and every other counter of the row stays bit-exact.
+
 Usage:
   tools/bench_diff.py FRESH_DIR [--baseline DIR] [--bench NAME]...
                       [--warn-ratio R]
@@ -34,6 +41,7 @@ import argparse
 import glob
 import json
 import os
+import re
 import sys
 
 # Counters whose values are derived from wall-clock time: identical
@@ -42,8 +50,41 @@ import sys
 TIME_COUNTER_MARKERS = ("_ns", "pause_ns", "wall_ms")
 
 
+# The monitor's minimum-mutator-utilisation readings: parts per million
+# of wall-clock windows, so they are timings too.
+MMU_COUNTERS = frozenset((
+    "mon.mmu_1ms_ppm", "mon.mmu_10ms_ppm", "mon.mmu_100ms_ppm",
+    "mon.mutator_fraction_ppm",
+))
+
+# Counters of a threaded row that depend on the thread interleaving
+# (module docstring). Per-task ones are matched by PER_TASK_SCHED.
+SCHED_DEPENDENT = frozenset((
+    "gc.census_data_objects", "gc.census_data_words", "gc.collections",
+    "gc.compiled_actions", "gc.frames_traced", "gc.heap_growths",
+    "gc.major_collections", "gc.minor_collections",
+    "gc.nursery_resident_objects", "gc.objects_visited",
+    "gc.parallel_traces", "gc.promoted_objects", "gc.promoted_words",
+    "gc.ptr_reversal_steps", "gc.slots_traced", "gc.stack_steals",
+    "gc.words_visited", "gc.young_dead_objects",
+    "heap.bytes_allocated_total", "heap.capacity_bytes", "heap.used_bytes",
+    "sched.handshake_epochs", "sched.last_parker_task",
+    "task.gc_requests", "task.suspend_checks", "task.world_stops",
+))
+PER_TASK_SCHED = re.compile(r"task\.\d+\.(tlab_refills|world_stop_delays)")
+
+# The handshake invariant of a threaded row: these are equal.
+HANDSHAKE_COUNTERS = ("task.gc_requests", "task.world_stops",
+                      "sched.handshake_epochs")
+
+
 def is_time_counter(name):
-    return any(m in name for m in TIME_COUNTER_MARKERS)
+    return (any(m in name for m in TIME_COUNTER_MARKERS) or
+            name in MMU_COUNTERS)
+
+
+def is_sched_dependent(name):
+    return name in SCHED_DEPENDENT or bool(PER_TASK_SCHED.fullmatch(name))
 
 
 def run_key(run):
@@ -53,15 +94,29 @@ def run_key(run):
         run.get("algorithm", ""),
         run.get("heap_bytes", 0),
         run.get("nursery_bytes", 0),
+        run.get("threads", 0),
     )
 
 
 def fmt_key(key):
-    wl, strat, algo, heap, nursery = key
+    wl, strat, algo, heap, nursery, threads = key
     s = "%s/%s/%s heap=%d" % (wl, strat, algo, heap)
     if nursery:
         s += " nursery=%d" % nursery
+    if threads:
+        s += " threads=%d" % threads
     return s
+
+
+def handshake_drift(name, key, counters):
+    """The handshake invariant of one threaded row, as drift lines."""
+    values = [counters.get(c) for c in HANDSHAKE_COUNTERS]
+    if None in values or len(set(values)) != 1:
+        return ["%s: %s: handshake invariant broken: %s" %
+                (name, fmt_key(key),
+                 ", ".join("%s=%s" % kv
+                           for kv in zip(HANDSHAKE_COUNTERS, values)))]
+    return []
 
 
 def diff_table_runs(name, base, fresh):
@@ -80,8 +135,13 @@ def diff_table_runs(name, base, fresh):
             continue
         bc = base_runs[key].get("counters", {})
         fc = fresh_runs[key].get("counters", {})
+        threaded = key[-1] >= 2
+        if threaded:
+            drift.extend(handshake_drift(name, key, fc))
         for counter in sorted(set(bc) | set(fc)):
             if is_time_counter(counter):
+                continue
+            if threaded and is_sched_dependent(counter):
                 continue
             bv, fv = bc.get(counter), fc.get(counter)
             if bv != fv:
@@ -93,10 +153,11 @@ def diff_table_runs(name, base, fresh):
 def diff_timings(name, base, fresh, warn_ratio):
     """Warn-only comparison of google-benchmark real_time medians."""
     warns = []
+    # A bench without registered timings writes "benchmark": null.
     base_bms = {b["name"]: b
-                for b in base.get("benchmark", {}).get("benchmarks", [])}
+                for b in (base.get("benchmark") or {}).get("benchmarks", [])}
     fresh_bms = {b["name"]: b
-                 for b in fresh.get("benchmark", {}).get("benchmarks", [])}
+                 for b in (fresh.get("benchmark") or {}).get("benchmarks", [])}
     for bm in sorted(set(base_bms) & set(fresh_bms)):
         bt = base_bms[bm].get("real_time", 0.0)
         ft = fresh_bms[bm].get("real_time", 0.0)

@@ -21,7 +21,9 @@
 ///   --heap-snapshot=F  write the last collection's typed snapshot as
 ///                      JSON (render with tools/heap_report.py)
 ///   --retainers=N      retained-size diagnostics: top-N dominators with
-///                      a sample root path
+///                      a sample root path, computed on the typed object
+///                      graph captured at full/major collections (held
+///                      in memory; no dump file unless --heap-dump)
 ///
 /// Exit codes: 0 success, 1 compile/runtime error, 2 usage or I/O error,
 /// 3 verify violations. Diagnostic files are flushed even on abnormal
