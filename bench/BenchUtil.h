@@ -153,8 +153,15 @@ inline Stats runOnce(const std::string &Source, GcStrategy S,
                  R.Run.Error.c_str());
     std::abort();
   }
+  // Compile options that change what a run collects join the strategy
+  // label, so two configurations of one strategy keep distinct run keys.
+  std::string Label = gcStrategyName(S);
+  if (!Options.UseLiveness)
+    Label += "+no_liveness";
+  if (Options.Monomorphise)
+    Label += "+monomorphise";
   if (JsonSink *Sink = JsonSink::active())
-    Sink->record(gcStrategyName(S), A, HeapBytes, R.St, NurseryBytes);
+    Sink->record(Label.c_str(), A, HeapBytes, R.St, NurseryBytes);
   return std::move(R.St);
 }
 

@@ -62,9 +62,12 @@ void reportPauses() {
     tableCell(0.0);
     tableEnd();
   }
+  uint64_t MinorP90 = 0;
   for (GcStrategy S : Strategies) {
     Stats St = runOnce(churnSource(), S, GcAlgorithm::Generational,
                        HeapBytes, false, {}, NurseryBytes);
+    if (S == GcStrategy::CompiledTagFree)
+      MinorP90 = St.get("gc.minor_pause_ns_p90");
     tableCell(std::string(gcStrategyName(S)) + "/gen");
     tableCell(St.get(StatId::GcCollections));
     tableCell(St.get(StatId::GcMinorCollections));
@@ -77,10 +80,6 @@ void reportPauses() {
   }
 
   // The acceptance criterion, stated against the compiled strategy.
-  Stats Gen = runOnce(churnSource(), GcStrategy::CompiledTagFree,
-                      GcAlgorithm::Generational, HeapBytes, false, {},
-                      NurseryBytes);
-  uint64_t MinorP90 = Gen.get("gc.minor_pause_ns_p90");
   double Speedup = MinorP90 ? (double)CopyP90[1] / (double)MinorP90 : 0.0;
   std::printf("\ncompiled minor p90 = %.1f us, full-copying p90 = %.1f us, "
               "ratio = %.1fx (criterion >= 3x): %s\n",
@@ -96,15 +95,18 @@ void reportBarriers() {
               "'dedup' = barrier executions per recorded remset entry",
               {"workload", "strategy", "barrier ops", "remset entries",
                "dedup", "promoted words", "minors", "majors"});
+  // JsonName: E10 already recorded generationalChurn's generational runs,
+  // so this table's repeat of them gets its own run key.
   struct Row {
     const char *Name;
+    const char *JsonName;
     std::string Src;
   } Rows[] = {
-      {"generationalChurn", churnSource()},
-      {"refCells", wl::refCells(2000)},
+      {"generationalChurn", "generationalChurn/e10b", churnSource()},
+      {"refCells", "refCells", wl::refCells(2000)},
   };
   for (const Row &R : Rows) {
-    jsonWorkload(R.Name);
+    jsonWorkload(R.JsonName);
     for (GcStrategy S : Strategies) {
       Stats St = runOnce(R.Src, S, GcAlgorithm::Generational, HeapBytes,
                          false, {}, NurseryBytes);

@@ -51,7 +51,8 @@ const char *modeName(ProfileMode M) {
 Stats profiledRun(CompiledProgram &P, GcStrategy S, GcAlgorithm A,
                   size_t Heap, size_t Nursery, ProfileMode Mode,
                   uint64_t *WallNs = nullptr,
-                  HeapProfiler *ProfOut = nullptr) {
+                  HeapProfiler *ProfOut = nullptr,
+                  const char *LabelSuffix = "") {
   Stats St;
   std::string Err;
   auto Col = P.makeCollector(S, A, Heap, St, &Err, Nursery);
@@ -80,12 +81,14 @@ Stats profiledRun(CompiledProgram &P, GcStrategy S, GcAlgorithm A,
                                                                        T0)
             .count();
   // Counter runs (the ones whose profiler outlives the run) feed the JSON
-  // trajectory; timing reps stay out of table_runs.
+  // trajectory; timing reps stay out of table_runs. \p LabelSuffix keeps
+  // two counter runs of one configuration on distinct run keys.
   if (ProfOut)
     if (JsonSink *Sink = JsonSink::active())
-      Sink->record(
-          (std::string(gcStrategyName(S)) + "+" + modeName(Mode)).c_str(),
-          A, Heap, St, Nursery);
+      Sink->record((std::string(gcStrategyName(S)) + "+" + modeName(Mode) +
+                    LabelSuffix)
+                       .c_str(),
+                   A, Heap, St, Nursery);
   return St;
 }
 
@@ -171,7 +174,8 @@ void reportSnapshot() {
   HeapProfiler Prof;
   Stats St =
       profiledRun(*P, GcStrategy::CompiledTagFree, GcAlgorithm::Generational,
-                  GenHeapBytes, GenNurseryBytes, Retain, nullptr, &Prof);
+                  GenHeapBytes, GenNurseryBytes, Retain, nullptr, &Prof,
+                  "+snapshot");
   const HeapProfiler::Snapshot &S = Prof.snapshot();
   std::printf("\nlast snapshot: seq=%llu kind=%s objects=%llu bytes=%llu "
               "(covered=%llu) retainers=%zu\n",

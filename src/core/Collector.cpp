@@ -13,14 +13,6 @@
 
 using namespace tfgc;
 
-namespace {
-uint64_t nsSince(std::chrono::steady_clock::time_point Start) {
-  return (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
-}
-} // namespace
-
 const char *tfgc::gcAlgorithmName(GcAlgorithm A) {
   switch (A) {
   case GcAlgorithm::Copying:      return "copying";
@@ -211,91 +203,75 @@ void Collector::collect(RootSet &Roots, size_t NeedPayloadWords) {
     collectGenerational(Roots, Need);
     return;
   }
+  // beginCollection opens RootScan and it stays open for the whole
+  // collection, so the phase spans partition the pause: finer spans
+  // (pointer reversal, frame dispatch, closure build, copy/sweep, verify)
+  // nest inside it and steal their time from it, and whatever is in none
+  // of them — loop control, counter updates, the profiler's begin
+  // (side-table merge + index build) — stays charged to RootScan.
   Tel.beginCollection();
-  {
-    // The RootScan span stays open for the whole collection so the phase
-    // spans partition the pause: finer spans (pointer reversal, frame
-    // dispatch, closure build, copy/sweep, verify) nest inside it and
-    // steal their time from it, and whatever is in none of them — loop
-    // control, counter updates — stays charged to RootScan. The stats
-    // clock starts inside the span so its read is covered, not slack.
-    // The profiler's begin (side-table merge + index build) runs inside
-    // the span for the same reason: its time is pause, so it must be
-    // covered by a phase.
-    PhaseScope Outer(&Tel, GcPhase::RootScan);
-    auto Start = std::chrono::steady_clock::now();
-    if (Prof)
-      Prof->beginCollection(GcEventKind::Full, nullptr);
+  if (Prof)
+    Prof->beginCollection(GcEventKind::Full, nullptr);
 
-    if (Copying) {
-      size_t Capacity = Copying->capacityBytes() / sizeof(Word);
-      for (bool FirstRound = true;; FirstRound = false) {
-        if (!FirstRound && Prof)
-          Prof->beginTraceRound();
-        {
-          PhaseScope P(&Tel, GcPhase::CopySweep);
-          Copying->beginCollection(Capacity);
-        }
-        CopyingSpace Sp(*Copying, Model == ValueModel::Tagged);
-        traceRoots(Roots, Sp);
-        {
-          PhaseScope P(&Tel, GcPhase::CopySweep);
-          Copying->endCollection();
-        }
-        if (Copying->freeWords() >= Need)
-          break;
-        // Not enough reclaimed: grow and collect again (the roots now live
-        // in the new space, which becomes from-space for the next round).
-        size_t UsedWords = Copying->usedBytes() / sizeof(Word);
-        Capacity = Capacity * 2 > UsedWords + Need ? Capacity * 2
-                                                   : (UsedWords + Need) * 2;
+  if (Copying) {
+    size_t Capacity = Copying->capacityBytes() / sizeof(Word);
+    for (bool FirstRound = true;; FirstRound = false) {
+      if (!FirstRound && Prof)
+        Prof->beginTraceRound();
+      {
+        PhaseScope P(&Tel, GcPhase::CopySweep);
+        Copying->beginCollection(Capacity);
+      }
+      CopyingSpace Sp(*Copying, Model == ValueModel::Tagged);
+      traceRoots(Roots, Sp);
+      {
+        PhaseScope P(&Tel, GcPhase::CopySweep);
+        Copying->endCollection();
+      }
+      if (Copying->freeWords() >= Need)
+        break;
+      // Not enough reclaimed: grow and collect again (the roots now live
+      // in the new space, which becomes from-space for the next round).
+      size_t UsedWords = Copying->usedBytes() / sizeof(Word);
+      Capacity = Capacity * 2 > UsedWords + Need ? Capacity * 2
+                                                 : (UsedWords + Need) * 2;
+      St.add(StatId::GcHeapGrowths);
+    }
+  } else {
+    {
+      PhaseScope P(&Tel, GcPhase::CopySweep);
+      Ms->beginMark();
+    }
+    MarkSpace Sp(*Ms, Model == ValueModel::Tagged);
+    traceRoots(Roots, Sp);
+    size_t Reclaimed;
+    {
+      PhaseScope P(&Tel, GcPhase::CopySweep);
+      Reclaimed = Ms->sweep();
+      while (!Ms->canAllocate(Need)) {
+        Ms->addSegment();
         St.add(StatId::GcHeapGrowths);
       }
-    } else {
-      {
-        PhaseScope P(&Tel, GcPhase::CopySweep);
-        Ms->beginMark();
-      }
-      MarkSpace Sp(*Ms, Model == ValueModel::Tagged);
-      traceRoots(Roots, Sp);
-      size_t Reclaimed;
-      {
-        PhaseScope P(&Tel, GcPhase::CopySweep);
-        Reclaimed = Ms->sweep();
-        while (!Ms->canAllocate(Need)) {
-          Ms->addSegment();
-          St.add(StatId::GcHeapGrowths);
-        }
-      }
-      St.add(StatId::GcBytesReclaimed, Reclaimed);
     }
-
-    // The pause counters exclude the diagnostic verify pass (historical
-    // behavior); the telemetry event includes it as its own phase.
-    auto Ns = (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - Start)
-                  .count();
-    St.add(StatId::GcCollections);
-    St.add(StatId::GcPauseNsTotal, Ns);
-    St.max(StatId::GcPauseNsMax, Ns);
-
-    if (VerifyAfterGc)
-      verifyPass(Roots);
-
-    if (Prof && Prof->enabled()) {
-      uint64_t Covered = Copying ? (uint64_t)Copying->usedBytes()
-                                 : Ms->liveWordsAfterSweep() * sizeof(Word);
-      Prof->finishCollection(Covered, nullptr, captureProfilerRoots(Roots));
-    }
-
-    // Finish while the RootScan span is still open: finishCollection's
-    // one clock read closes the span AND stamps the pause, leaving zero
-    // end-of-collection slack (Outer's destructor then no-ops because
-    // the collection is already closed).
-    Tel.finishCollection(Copying ? Copying->survivorWords()
-                                 : Ms->liveWordsAfterSweep(),
-                         heapCapacityBytes());
+    St.add(StatId::GcBytesReclaimed, Reclaimed);
   }
+
+  St.add(StatId::GcCollections);
+
+  if (VerifyAfterGc)
+    verifyPass(Roots);
+
+  if (Prof && Prof->enabled()) {
+    uint64_t Covered = Copying ? (uint64_t)Copying->usedBytes()
+                               : Ms->liveWordsAfterSweep() * sizeof(Word);
+    Prof->finishCollection(Covered, nullptr);
+  }
+
+  // finishCollection's one clock read closes the open span AND stamps
+  // the pause, leaving zero end-of-collection slack.
+  finishPause(Copying ? Copying->survivorWords()
+                      : Ms->liveWordsAfterSweep());
+
   epochSafepoint();
   // World still stopped: every ring's producer is parked or joined, so
   // the drain reads quiescent rings and the chunk lands globally ordered.
@@ -303,21 +279,15 @@ void Collector::collect(RootSet &Roots, size_t NeedPayloadWords) {
     Flight->maybeDrain();
 }
 
-std::vector<HeapRoot> Collector::captureProfilerRoots(RootSet &Roots) const {
-  std::vector<HeapRoot> Out;
-  if (!Prof->wantsRoots())
-    return Out;
-  for (TaskStack *Stack : Roots.Stacks)
-    for (const FrameInfo &F : Stack->Frames) {
-      const Word *Slots = Stack->Slots.data() + F.SlotBase;
-      for (uint32_t I = 0; I < F.NumSlots; ++I) {
-        Word V = Slots[I];
-        if (Model == ValueModel::Tagged ? !isTaggedPointer(V) : V == 0)
-          continue;
-        Out.push_back({F.FuncId, I, V});
-      }
-    }
-  return Out;
+void Collector::finishPause(uint64_t LiveWordsAfter) {
+  Tel.finishCollection(LiveWordsAfter, heapCapacityBytes());
+  // The pause counters read the closed event, so they and the pause
+  // histogram share one clock. They exclude the diagnostic verify pass;
+  // the event keeps it as its own phase.
+  const GcEvent &E = Tel.lastEvent();
+  uint64_t Ns = E.PauseNs - E.PhaseNs[(size_t)GcPhase::Verify];
+  St.add(StatId::GcPauseNsTotal, Ns);
+  St.max(StatId::GcPauseNsMax, Ns);
 }
 
 void Collector::verifyPass(RootSet &Roots) {
@@ -416,12 +386,9 @@ void Collector::collectGenerational(RootSet &Roots, size_t Need) {
 }
 
 void Collector::minorCollection(RootSet &Roots, bool Promote) {
-  Tel.beginCollection(GcEventKind::Minor);
   // Same span discipline as collect(): RootScan stays open for the whole
-  // pause, finer phases nest inside it (the profiler's side-table merge
-  // included), finishCollection closes both.
-  PhaseScope Outer(&Tel, GcPhase::RootScan);
-  auto Start = std::chrono::steady_clock::now();
+  // pause, finer phases nest inside it, finishCollection closes it.
+  Tel.beginCollection(GcEventKind::Minor);
   if (Prof)
     Prof->beginCollection(GcEventKind::Minor,
                           [this](Word W) { return Gen->inTenured(W); });
@@ -461,11 +428,8 @@ void Collector::minorCollection(RootSet &Roots, bool Promote) {
   if (Sp.promotedWords())
     St.add(StatId::GcPromotedWords, Sp.promotedWords());
 
-  uint64_t Ns = nsSince(Start);
   St.add(StatId::GcCollections);
   St.add(StatId::GcMinorCollections);
-  St.add(StatId::GcPauseNsTotal, Ns);
-  St.max(StatId::GcPauseNsMax, Ns);
 
   if (VerifyAfterGc)
     verifyPass(Roots);
@@ -476,18 +440,15 @@ void Collector::minorCollection(RootSet &Roots, bool Promote) {
     // untraced tenured objects carry over to the next collection.
     uint64_t Covered =
         (Sp.survivorWords() + Sp.promotedWords()) * sizeof(Word);
-    Prof->finishCollection(
-        Covered, [this](Word W) { return Gen->inTenured(W); }, {});
+    Prof->finishCollection(Covered,
+                           [this](Word W) { return Gen->inTenured(W); });
   }
 
-  Tel.finishCollection(Gen->nurseryUsedWords() + Gen->tenuredUsedWords(),
-                       heapCapacityBytes());
+  finishPause(Gen->nurseryUsedWords() + Gen->tenuredUsedWords());
 }
 
 void Collector::majorCollection(RootSet &Roots, size_t Need) {
   Tel.beginCollection(GcEventKind::Major);
-  PhaseScope Outer(&Tel, GcPhase::RootScan);
-  auto Start = std::chrono::steady_clock::now();
   if (Prof)
     Prof->beginCollection(GcEventKind::Major,
                           [this](Word W) { return Gen->inTenured(W); });
@@ -534,21 +495,16 @@ void Collector::majorCollection(RootSet &Roots, size_t Need) {
   if (heapCapacityBytes() > CapacityBefore)
     St.add(StatId::GcHeapGrowths);
 
-  uint64_t Ns = nsSince(Start);
   St.add(StatId::GcCollections);
   St.add(StatId::GcMajorCollections);
-  St.add(StatId::GcPauseNsTotal, Ns);
-  St.max(StatId::GcPauseNsMax, Ns);
 
   if (VerifyAfterGc)
     verifyPass(Roots);
 
   if (Prof && Prof->enabled())
-    Prof->finishCollection((uint64_t)Gen->usedBytes(), nullptr,
-                           captureProfilerRoots(Roots));
+    Prof->finishCollection((uint64_t)Gen->usedBytes(), nullptr);
 
-  Tel.finishCollection(Gen->nurseryUsedWords() + Gen->tenuredUsedWords(),
-                       heapCapacityBytes());
+  finishPause(Gen->nurseryUsedWords() + Gen->tenuredUsedWords());
 }
 
 void Collector::epochSafepoint() {

@@ -70,8 +70,8 @@ public:
   Stats &stats() { return St; }
 
   /// Per-collection phase spans, pause/phase histograms, and heap census
-  /// (see support/Telemetry.h). Recorded unconditionally — the ring is
-  /// preallocated and a span costs one clock read per phase switch.
+  /// (see support/Telemetry.h). Recorded unconditionally — the event is
+  /// fixed-size and a span costs one clock read per phase switch.
   Telemetry &telemetry() { return Tel; }
   const Telemetry &telemetry() const { return Tel; }
 
@@ -94,10 +94,11 @@ public:
   Monitor *monitor() { return Mon; }
 
   /// Attaches the flight recorder (not owned; may be null). Wires the
-  /// telemetry's GC ring mirror, makes the trace workers stamp begin/end
-  /// events into their per-worker rings, and drains all rings at the end
-  /// of every collection (the world is stopped, so no producer races the
-  /// drain). Null (the default) costs one untaken branch per site.
+  /// telemetry's per-collection GC ring records, makes the trace workers
+  /// stamp begin/end events into their per-worker rings, and drains all
+  /// rings at the end of every collection (the world is stopped, so no
+  /// producer races the drain). Null (the default) costs one untaken
+  /// branch per site.
   void setFlightRecorder(FlightRecorder *F);
   FlightRecorder *flightRecorder() { return Flight; }
 
@@ -248,11 +249,9 @@ protected:
 
 private:
   void recordRemset(Word *Slot, Type *Ty);
-  /// Roots of the profiler's graph capture (none when no capture runs):
-  /// every slot of every suspended frame, labeled frame-function:slot
-  /// (the dominator pass drops values that match no live object, so
-  /// stale slots only cost a failed lookup).
-  std::vector<HeapRoot> captureProfilerRoots(RootSet &Roots) const;
+  /// Closes the telemetry event and charges its pause, less the verify
+  /// phase, to gc.pause_ns_total / gc.pause_ns_max.
+  void finishPause(uint64_t LiveWordsAfter);
   void collectGenerational(RootSet &Roots, size_t Need);
   void minorCollection(RootSet &Roots, bool Promote);
   void majorCollection(RootSet &Roots, size_t Need);

@@ -60,6 +60,8 @@ void TaggedCollector::drainScanList(Space &Sp, std::vector<Word> &ScanList,
 void TaggedCollector::traceOneStack(TaskStack &Stack, Space &Sp,
                                     std::vector<Word> &ScanList, Stats &S,
                                     CensusCounts *Census) {
+  // Graph roots are the slots this scan treats as pointers.
+  const bool RootRec = Prof && !Census && Prof->edgesActive();
   for (FrameInfo &Fr : Stack.Frames) {
     S.add(StatId::GcFramesTraced);
     Word *Slots = Stack.frameSlots(Fr);
@@ -67,6 +69,8 @@ void TaggedCollector::traceOneStack(TaskStack &Stack, Space &Sp,
     for (uint32_t I = 0; I < Fr.NumSlots; ++I) {
       S.add(StatId::GcSlotsTraced);
       Slots[I] = traceWord(Sp, ScanList, Slots[I], S, Census);
+      if (RootRec && isTaggedPointer(Slots[I])) [[unlikely]]
+        Prof->recordRoot(Fr.FuncId, I, Slots[I]);
     }
   }
 }

@@ -606,27 +606,35 @@ Word TagFreeTracer::traceClosureValue(Word V, const TypeGc *FunTg,
 }
 
 void TagFreeTracer::traceFrame(Word *Slots, const FrameRoutine &FR,
-                               const TgEnv *Env) {
+                               const TgEnv *Env, uint32_t Func) {
   for (const FrameRoutine::SlotAction &A : FR.Slots) {
     St.add(StatId::GcSlotsTraced);
     Slots[A.Slot] = traceCompiled(Slots[A.Slot], A.Routine);
+    if (EdgeRec)
+      Prof->recordRoot(Func, A.Slot, Slots[A.Slot]);
   }
   for (const OpenAction &A : FR.Open) {
     St.add(StatId::GcSlotsTraced);
     assert(Env && "open slot without type parameter bindings");
     Slots[A.Index] = traceTg(Slots[A.Index], Eng.eval(A.Ty, *Env));
+    if (EdgeRec)
+      Prof->recordRoot(Func, A.Index, Slots[A.Index]);
   }
 }
 
 void TagFreeTracer::traceFrame(Word *Slots, const FrameDescriptor &FD,
-                               const TgEnv *Env) {
+                               const TgEnv *Env, uint32_t Func) {
   for (const FrameDescriptor::SlotDesc &A : FD.Slots) {
     St.add(StatId::GcSlotsTraced);
     Slots[A.Slot] = traceDesc(Slots[A.Slot], A.Desc, nullptr);
+    if (EdgeRec && !isLeaf(A.Desc))
+      Prof->recordRoot(Func, A.Slot, Slots[A.Slot]);
   }
   for (const OpenAction &A : FD.Open) {
     St.add(StatId::GcSlotsTraced);
     assert(Env && "open slot without type parameter bindings");
     Slots[A.Index] = traceTg(Slots[A.Index], Eng.eval(A.Ty, *Env));
+    if (EdgeRec)
+      Prof->recordRoot(Func, A.Index, Slots[A.Index]);
   }
 }

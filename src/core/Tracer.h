@@ -84,8 +84,12 @@ public:
   Word traceClosureValue(Word V, const TypeGc *FunTg, Type *StaticFunTy);
 
   /// Frame tracing (Env required whenever the routine has open slots).
-  void traceFrame(Word *Slots, const FrameRoutine &FR, const TgEnv *Env);
-  void traceFrame(Word *Slots, const FrameDescriptor &FD, const TgEnv *Env);
+  /// \p Func names the frame's function: each traced slot is a heap-graph
+  /// root labeled Func:slot while a graph capture runs.
+  void traceFrame(Word *Slots, const FrameRoutine &FR, const TgEnv *Env,
+                  uint32_t Func);
+  void traceFrame(Word *Slots, const FrameDescriptor &FD, const TgEnv *Env,
+                  uint32_t Func);
 
   /// Routes census increments into a thread-local accumulator instead of
   /// the (shared, unsynchronized) Telemetry event. Parallel GC workers
@@ -127,10 +131,10 @@ private:
 
   /// Heap-graph edge hook: records that field \p Field of the object at
   /// (post-move) \p Parent holds \p Child. Parent 0 marks a root slot —
-  /// those come from the collector's root capture, not the edge stream.
-  /// Only called under `if (EdgeRec)`, and only for fields whose type can
-  /// hold a reference; null and nullary-constructor children are filtered
-  /// when the capture is finalized.
+  /// traceFrame records those as roots, not edges. Only called under
+  /// `if (EdgeRec)`, and only for fields whose type can hold a reference;
+  /// null and nullary-constructor children are filtered when the capture
+  /// is finalized.
   void edge(Word Parent, uint32_t Field, Word Child) {
     if (Parent)
       Prof->recordEdge(Parent, Field, Child);

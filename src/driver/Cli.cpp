@@ -51,9 +51,6 @@ const std::vector<CliFlag> &tfgc::cliFlags() {
       {"--dump-meta", false, "print GC metadata statistics and exit"},
       {"--stats", false, "print collector statistics after the run"},
       {"--gc-log", false, "one structured log line per collection (stderr)"},
-      {"--trace-out", true,
-       "write a Chrome trace_event JSON of every collection (flushed per "
-       "event)"},
       {"--verify", false,
        "re-trace read-only after every collection; exit 3 on violations"},
       {"--inject-verify-violation", false,
@@ -100,9 +97,10 @@ const std::vector<CliFlag> &tfgc::cliFlags() {
        "write the final epoch as Prometheus text (flushed on abnormal "
        "exit like the other artifacts)"},
       {"--flight-out", true,
-       "always-on binary flight recorder: per-thread timelines of "
-       "safepoint handshakes, TLAB refills, VM polls and GC phases "
-       "(decode with tools/flight_report.py)"},
+       "always-on binary flight recorder: every collection with its "
+       "phase times, on per-thread timelines of safepoint handshakes, "
+       "TLAB refills and VM polls (decode, check against --stats-json, "
+       "or export a Chrome trace with tools/flight_report.py)"},
       {"--flight-buffer-kb", true,
        "per-thread flight ring size in KiB (default 64; requires "
        "--flight-out)"},
@@ -256,8 +254,6 @@ bool tfgc::parseCli(const std::vector<std::string> &Args, CliOptions &O,
       O.ShowStats = true;
     } else if (Name == "--gc-log") {
       O.GcLog = true;
-    } else if (Name == "--trace-out") {
-      O.TraceOutPath = Value;
     } else if (Name == "--verify") {
       O.Verify = true;
     } else if (Name == "--inject-verify-violation") {
@@ -515,17 +511,6 @@ int tfgc::runTfgc(const CliOptions &O) {
   Tel.setLabel(gcStrategyName(O.Strategy));
   if (O.GcLog)
     Tel.setLogStream(stderr);
-  std::ofstream TraceOut;
-  if (!O.TraceOutPath.empty()) {
-    TraceOut.open(O.TraceOutPath);
-    if (!TraceOut) {
-      std::fprintf(stderr, "cannot open '%s'\n", O.TraceOutPath.c_str());
-      return 2;
-    }
-    if (O.Threads)
-      Tel.declareThreads(O.Threads);
-    Tel.beginTrace(TraceOut);
-  }
 
   VmOptions VO = defaultVmOptions(O.Strategy, O.Stress);
   VO.Dispatch = O.Dispatch;
@@ -587,9 +572,8 @@ int tfgc::runTfgc(const CliOptions &O) {
 
   // Flush every requested diagnostic artifact *before* deciding the exit
   // code: a verify failure or uncaught runtime error must still leave the
-  // trace, stats, and snapshot on disk for post-mortem analysis.
-  if (!O.TraceOutPath.empty())
-    Tel.endTrace();
+  // flight recording, stats, and snapshot on disk for post-mortem
+  // analysis.
   if (Flight)
     Flight->finish(); // Final drain + close; exit 3 below still gets it.
   if (!O.HeapDumpPath.empty())

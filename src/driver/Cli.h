@@ -92,7 +92,6 @@ struct CliOptions {
   /// runTfgc); giving it without --flight-out is a usage error.
   uint64_t FlightBufferKb = 0;
   std::string HeapSnapshotPath;
-  std::string TraceOutPath;
   std::string StatsJsonPath;
   CompileOptions Compile;
   std::string Source;
@@ -106,8 +105,8 @@ bool parseCli(const std::vector<std::string> &Args, CliOptions &O,
               std::string &Err, bool &HelpOnly);
 
 /// Compiles and runs per \p O; writes program output to stdout and
-/// diagnostics to stderr. All requested diagnostic artifacts (trace,
-/// stats JSON, heap snapshot) are flushed *before* the exit code is
+/// diagnostics to stderr. All requested diagnostic artifacts (flight
+/// recording, stats JSON, heap snapshot) are flushed *before* the exit code is
 /// decided, so a failing run still leaves them on disk.
 int runTfgc(const CliOptions &O);
 

@@ -99,10 +99,7 @@ void ThreadedRuntime::threadMain(size_t Idx) {
   Stats::setThreadLabel(T.Label.c_str());
   if (T.Flight)
     T.Flight->record(FlightEventType::ThreadStart);
-  auto Collect = [this, Idx](size_t Need, uint64_t DelayNs) {
-    // The pause runs on this thread: put its trace events on this task's
-    // Chrome-trace track.
-    Col.telemetry().setTraceTid(1 + Idx);
+  auto Collect = [this](size_t Need, uint64_t DelayNs) {
     collectWorld(Need, DelayNs);
   };
   for (;;) {

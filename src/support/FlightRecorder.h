@@ -17,8 +17,11 @@
 ///  * each ring has exactly one producer — a mutator thread (its task
 ///    ring), a GC trace worker (its worker ring), or "whoever holds the
 ///    coordinator lock" (the GC ring: arm events and the Telemetry
-///    begin/phase/end mirrors are all serialized by the safepoint mutex,
-///    or by the single thread in sequential mode);
+///    begin/phase/end records are all serialized by the safepoint mutex,
+///    or by the single thread in sequential mode). A collection adds at
+///    most NumGcPhases + 2 records to the GC ring, and the rings drain at
+///    the end of every pause that left one half full, so a default-sized
+///    GC ring never drops a collection;
 ///  * WriteIdx is a monotone record count (release store by the producer);
 ///    the slot written is WriteIdx & Mask, so a full ring overwrites the
 ///    oldest record — newest-N semantics, never a torn record, because
@@ -31,9 +34,11 @@
 /// record size, u64 reserved) followed by 32-byte little-endian records,
 /// time-sorted within each drained chunk and monotone across chunks (all
 /// producers quiesce before a drain, so later chunks hold later events).
-/// `tools/flight_report.py` decodes it, checks the handshake invariants,
-/// renders the time-to-safepoint attribution table, and exports a
-/// multi-track Chrome trace.
+/// `tools/flight_report.py` decodes it, checks the handshake invariants
+/// and (with `--stats`) the collection records against the run's
+/// `--stats-json`, renders the time-to-safepoint attribution table, and
+/// exports a multi-track Chrome trace — the runtime's only event-trace
+/// export.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,8 +74,10 @@ enum class FlightEventType : uint8_t {
                         ///< bytes carved, ArgB = refill ordinal.
   GcBegin = 9,          ///< Collection began. Arg32 = GcEventKind, ArgA =
                         ///< collection seq.
-  GcPhase = 10,         ///< Telemetry phase switch. Arg32 = new GcPhase,
-                        ///< ArgA = previous phase.
+  GcPhase = 10,         ///< One phase of a finished collection, written
+                        ///< just before its GcEnd (one per nonzero
+                        ///< phase). Arg32 = GcPhase, ArgA = the phase's
+                        ///< exclusive ns in that collection.
   GcEnd = 11,           ///< Collection finished. Arg32 = kind, ArgA =
                         ///< pause ns, ArgB = collection seq.
   TraceWorkerBegin = 12,///< Parallel trace worker started. Arg32 = worker.

@@ -97,11 +97,11 @@ bool HeapGraph::beginCapture(GcEventKind Kind) {
 void HeapGraph::resetCapture() {
   Nodes.clear();
   Edges.clear();
+  Roots.clear();
 }
 
 void HeapGraph::finalizeCapture(
     uint64_t Seq, GcEventKind Kind, uint64_t CoveredBytes,
-    const std::vector<HeapRoot> &Roots,
     const std::array<HeapProfiler::Tally, NumCensusKinds> &ByKind,
     const std::vector<HeapProfiler::SiteLifetime> &Lifetimes,
     const std::vector<uint64_t> &AllocCounts) {
@@ -419,8 +419,7 @@ void HeapGraph::finalizeCapture(
   // retainer-only capture has no destination and stays in memory.
   if (OutOpen || Sink) {
     std::string Body = serializeChunk(Seq, Kind, CoveredBytes, RootsResolved,
-                                      Roots, E, Lifetimes, AllocCounts,
-                                      ByKind);
+                                      E, Lifetimes, AllocCounts, ByKind);
     std::string Framed;
     Framed.reserve(Body.size() + 12);
     Framed += "TFGH";
@@ -441,14 +440,12 @@ void HeapGraph::finalizeCapture(
       Sink(Framed);
   }
 
-  Nodes.clear();
-  Edges.clear();
+  resetCapture();
 }
 
 std::string HeapGraph::serializeChunk(
     uint64_t Seq, GcEventKind Kind, uint64_t CoveredBytes,
     const std::vector<std::pair<uint32_t, uint32_t>> &RootsResolved,
-    const std::vector<HeapRoot> &Roots,
     const std::vector<std::array<uint32_t, 3>> &E,
     const std::vector<HeapProfiler::SiteLifetime> &Lifetimes,
     const std::vector<uint64_t> &AllocCounts,

@@ -133,6 +133,13 @@ public:
     Edges.push_back({Parent, Child, Field});
   }
 
+  /// One traced frame slot (post-move value), labeled function:slot. The
+  /// tracers record exactly the slots the frame metadata traces; roots
+  /// matching no captured object drop out at finalize.
+  void recordRoot(uint32_t Func, uint32_t Slot, Word Value) {
+    Roots.push_back({Func, Slot, Value});
+  }
+
   /// Ends a capture: resolves edges against the node set, runs the
   /// dominator pass for per-site retained sizes and the top retainer
   /// rows, and — when a file or sink exists — serializes the chunk and
@@ -140,7 +147,6 @@ public:
   /// \p Lifetimes/\p AllocCounts may be empty when site tracking is off.
   void finalizeCapture(
       uint64_t Seq, GcEventKind Kind, uint64_t CoveredBytes,
-      const std::vector<HeapRoot> &Roots,
       const std::array<HeapProfiler::Tally, NumCensusKinds> &ByKind,
       const std::vector<HeapProfiler::SiteLifetime> &Lifetimes,
       const std::vector<uint64_t> &AllocCounts);
@@ -189,8 +195,7 @@ private:
   std::string serializeChunk(
       uint64_t Seq, GcEventKind Kind, uint64_t CoveredBytes,
       const std::vector<std::pair<uint32_t, uint32_t>>
-          &RootsResolved, // (root idx, node idx)
-      const std::vector<HeapRoot> &Roots,
+          &RootsResolved, // (root idx into Roots, node idx)
       const std::vector<std::array<uint32_t, 3>> &E,
       const std::vector<HeapProfiler::SiteLifetime> &Lifetimes,
       const std::vector<uint64_t> &AllocCounts,
@@ -211,6 +216,7 @@ private:
 
   std::vector<NodeRec> Nodes;
   std::vector<EdgeRec> Edges;
+  std::vector<HeapRoot> Roots;
 
   /// Previous capture's retained-by-site (index = site, last = unknown),
   /// for the delta column.

@@ -37,6 +37,10 @@ void HeapProfiler::recordEdge(Word Parent, uint32_t Field, Word Child) {
   Graph->recordEdge(Parent, Field, Child);
 }
 
+void HeapProfiler::recordRoot(uint32_t Func, uint32_t Slot, Word Value) {
+  Graph->recordRoot(Func, Slot, Value);
+}
+
 std::vector<uint64_t> HeapProfiler::allocCountsNow() const {
   std::vector<uint64_t> Counts = SiteAllocCounts;
   for (const AddrSite &E : AddrLog) // Allocated since the last collection.
@@ -314,8 +318,7 @@ void HeapProfiler::recordVisit(Word OldRef, Word NewRef, CensusKind K,
 }
 
 void HeapProfiler::finishCollection(
-    uint64_t CoveredBytes, const std::function<bool(Word)> &KeepUnvisited,
-    std::vector<HeapRoot> Roots) {
+    uint64_t CoveredBytes, const std::function<bool(Word)> &KeepUnvisited) {
   if (!Enabled || !InCollection)
     return;
   InCollection = false;
@@ -377,8 +380,8 @@ void HeapProfiler::finishCollection(
   // dominator math over it would misattribute retention).
   Snap.RetainersComputed = GraphActive && TopRetainers > 0;
   if (GraphActive) {
-    Graph->finalizeCapture(Snap.Seq, CurEventKind, CoveredBytes, Roots,
-                           CurKind, Life, allocCountsNow());
+    Graph->finalizeCapture(Snap.Seq, CurEventKind, CoveredBytes, CurKind,
+                           Life, allocCountsNow());
     GraphActive = false;
     if (Snap.RetainersComputed)
       Snap.Retainers = Graph->lastCapture().Retainers;

@@ -211,8 +211,11 @@ public:
   /// edgesActive()). Out-of-line so this header needn't see HeapGraph.
   void recordEdge(Word Parent, uint32_t Field, Word Child);
 
-  /// The collector captures stack roots for the graph capture.
-  bool wantsRoots() const { return GraphActive; }
+  /// Forwards one traced frame slot — slot \p Slot of a frame of function
+  /// \p Func, holding the post-trace \p Value — as a graph root. Only the
+  /// slots the frame routines / descriptors trace at the GC point arrive
+  /// here (same guard as recordEdge), so a dead slot is never a root.
+  void recordRoot(uint32_t Func, uint32_t Slot, Word Value);
 
   // -- Mutator hot path -----------------------------------------------------
 
@@ -263,10 +266,10 @@ public:
   /// (keeping unvisited entries that \p KeepUnvisited says survived — the
   /// tenured objects a minor collection never traces), snapshots the
   /// tallies, and finalizes this collection's graph capture (if any) over
-  /// \p Roots — the snapshot's retainers come from it.
+  /// the roots recorded during the trace — the snapshot's retainers come
+  /// from it.
   void finishCollection(uint64_t CoveredBytes,
-                        const std::function<bool(Word)> &KeepUnvisited,
-                        std::vector<HeapRoot> Roots);
+                        const std::function<bool(Word)> &KeepUnvisited);
 
   bool inCollection() const { return InCollection; }
   uint64_t visitObjectsTotal() const { return VisitObjectsTotal; }

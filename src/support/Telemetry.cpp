@@ -100,11 +100,12 @@ void Telemetry::beginCollection(GcEventKind Kind) {
   assert(!InCollection && "collection already open");
   Event = GcEvent{};
   Event.Kind = Kind;
-  Event.Tid = TraceTid;
   Event.Seq = TotalCollections;
   Event.StartNs = nowNs();
   LastMarkNs = Event.StartNs;
-  Cur = GcPhase::NumPhases;
+  // RootScan is open from the first instant: the spans cover the pause
+  // from the same clock read that starts it.
+  Cur = GcPhase::RootScan;
   Paused = false;
   InCollection = true;
   if (Flight) [[unlikely]]
@@ -120,8 +121,6 @@ GcPhase Telemetry::switchPhase(GcPhase P) {
   LastMarkNs = Now;
   GcPhase Prev = Cur;
   Cur = P;
-  if (Flight) [[unlikely]]
-    Flight->record(FlightEventType::GcPhase, (uint32_t)P, (uint64_t)Prev);
   return Prev;
 }
 
@@ -149,22 +148,20 @@ void Telemetry::finishCollection(uint64_t LiveWordsAfter,
 
   if (LogStream)
     emitLogLine(Event);
-  if (TraceStream)
-    emitTraceEvents(Event);
 
-  Ring[(size_t)(TotalCollections % RingCapacity)] = Event;
   ++TotalCollections;
   InCollection = false;
-  if (Flight) [[unlikely]]
+  if (Flight) [[unlikely]] {
+    // The phase totals, not the switches: a deep stack switches phase per
+    // frame, and the ring must hold a whole pause between drains.
+    for (size_t I = 0; I < NumGcPhases; ++I)
+      if (Event.PhaseNs[I])
+        Flight->record(FlightEventType::GcPhase, (uint32_t)I, Event.PhaseNs[I]);
     Flight->record(FlightEventType::GcEnd, (uint32_t)Event.Kind, Event.PauseNs,
                    Event.Seq);
+  }
   if (Sink)
     Sink->onGcEvent(Event);
-}
-
-const GcEvent &Telemetry::event(size_t I) const {
-  assert(I < ringSize() && "event index out of range");
-  return Ring[(size_t)((TotalCollections - ringSize() + I) % RingCapacity)];
 }
 
 uint64_t Telemetry::censusObjectsTotal() const {
@@ -199,81 +196,6 @@ void Telemetry::emitLogLine(const GcEvent &E) const {
   std::fprintf(LogStream, " live_words=%llu cap_bytes=%llu\n",
                (unsigned long long)E.LiveWordsAfter,
                (unsigned long long)E.HeapCapacityBytesAfter);
-}
-
-namespace {
-
-/// Chrome trace timestamps are microseconds; keep ns resolution as a
-/// fractional part.
-std::string usStr(uint64_t Ns) {
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%llu.%03u",
-                (unsigned long long)(Ns / 1000), (unsigned)(Ns % 1000));
-  return Buf;
-}
-
-} // namespace
-
-void Telemetry::beginTrace(std::ostream &OS) {
-  assert(!TraceStream && "trace already started");
-  TraceStream = &OS;
-  TraceFirstEvent = true;
-  OS << "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n"
-     << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 1, "
-        "\"args\": {\"name\": \"tfgc"
-     << (Label.empty() ? "" : " ") << Label << "\"}}";
-  // Under --threads, name one track per mutator so the trace shows every
-  // thread even before (or without) it ever running a collection.
-  // Sequential runs declare nothing, keeping their traces byte-identical.
-  for (unsigned I = 0; I < DeclaredThreads; ++I)
-    OS << ",\n{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": "
-       << (1 + I) << ", \"args\": {\"name\": \"task " << I << "\"}}";
-  TraceFirstEvent = false;
-}
-
-void Telemetry::emitTraceEvents(const GcEvent &E) {
-  std::ostream &OS = *TraceStream;
-  auto Sep = [&] { OS << (TraceFirstEvent ? "" : ",\n"); TraceFirstEvent = false; };
-  Sep();
-  // Full-heap collections keep the historical event name; the
-  // generational kinds get their own so minor/major pauses are separable
-  // in the trace viewer.
-  const char *Name = E.Kind == GcEventKind::Minor   ? "gc.minor"
-                     : E.Kind == GcEventKind::Major ? "gc.major"
-                                                    : "gc.collection";
-  OS << "{\"name\": \"" << Name << "\", \"cat\": \"gc\", \"ph\": \"X\", "
-     << "\"ts\": " << usStr(E.StartNs) << ", \"dur\": " << usStr(E.PauseNs)
-     << ", \"pid\": 1, \"tid\": " << E.Tid << ", \"args\": {\"seq\": " << E.Seq
-     << ", \"kind\": \"" << gcEventKindName(E.Kind) << '"'
-     << ", \"live_words\": " << E.LiveWordsAfter
-     << ", \"capacity_bytes\": " << E.HeapCapacityBytesAfter
-     << ", \"census_objects\": " << E.censusObjects()
-     << ", \"census_words\": " << E.censusWords() << "}}";
-  // Phases are recorded as per-phase aggregates, so lay them out
-  // sequentially (enum order) inside the collection event; their sum is
-  // the instrumented portion of the pause.
-  uint64_t Cursor = E.StartNs;
-  for (size_t I = 0; I < NumGcPhases; ++I) {
-    if (!E.PhaseNs[I])
-      continue;
-    Sep();
-    OS << "{\"name\": \"" << gcPhaseName((GcPhase)I)
-       << "\", \"cat\": \"gc.phase\", \"ph\": \"X\", \"ts\": "
-       << usStr(Cursor) << ", \"dur\": " << usStr(E.PhaseNs[I])
-       << ", \"pid\": 1, \"tid\": " << E.Tid << "}";
-    Cursor += E.PhaseNs[I];
-  }
-  // Flush per event: a crashed or aborted run still leaves every
-  // completed collection in the trace file (endTrace only appends the
-  // closing bracket, which Perfetto tolerates missing).
-  OS.flush();
-}
-
-void Telemetry::endTrace() {
-  if (!TraceStream)
-    return;
-  *TraceStream << "\n]}\n";
-  TraceStream = nullptr;
 }
 
 namespace {
@@ -340,19 +262,5 @@ void Telemetry::writeStatsJson(std::ostream &OS, const Stats &St) const {
        << "\": {\"objects\": " << CensusObjTotals[I]
        << ", \"words\": " << CensusWordTotals[I] << "}";
   }
-  OS << "},\n  \"recent_collections\": [\n";
-  // The ring holds the newest events, as many as keep the dump readable.
-  size_t N = ringSize();
-  for (size_t I = 0; I < N; ++I) {
-    const GcEvent &E = event(I);
-    OS << "    {\"seq\": " << E.Seq << ", \"kind\": \""
-       << gcEventKindName(E.Kind) << "\", \"start_ns\": " << E.StartNs
-       << ", \"pause_ns\": " << E.PauseNs << ", \"phases_ns\": {";
-    for (size_t J = 0; J < NumGcPhases; ++J)
-      OS << (J ? ", " : "") << '"' << gcPhaseName((GcPhase)J)
-         << "\": " << E.PhaseNs[J];
-    OS << "}, \"live_words\": " << E.LiveWordsAfter << "}"
-       << (I + 1 < N ? ",\n" : "\n");
-  }
-  OS << "  ]\n}\n";
+  OS << "}\n}\n";
 }

@@ -12,9 +12,10 @@
 ///    steady_clock read, which simultaneously closes the interval of the
 ///    previously active phase and opens the new one. Intervals therefore
 ///    partition the collection exactly (a nested span *steals* its time
-///    from its parent — exclusive accounting), and the per-phase sums add
-///    up to the pause time minus only the few instructions outside any
-///    span. PhaseScope is the RAII wrapper; re-entering the currently
+///    from its parent — exclusive accounting). The clock read that
+///    starts a collection opens RootScan and the one that stamps its end
+///    closes the last span, so the per-phase sums add up to the pause
+///    exactly. PhaseScope is the RAII wrapper; re-entering the currently
 ///    active phase is a no-op (one branch, no clock read), so recursive
 ///    code can scope itself freely.
 ///
@@ -32,17 +33,20 @@
 ///    increments exactly, so (with post-GC verification off) the census
 ///    totals equal those counters.
 ///
-///  * **Ring buffer.** One fixed-size GcEvent per collection, held inline:
-///    the GC path allocates nothing and keeps the newest `RingCapacity`
-///    collections — exactly the ones `--stats-json` lists. Cumulative
-///    aggregates (histograms, phase totals, census totals) cover *all*
-///    collections regardless of ring size.
+///  * **One record per collection.** The open GcEvent is a fixed-size
+///    member, so the GC path allocates nothing. Closing it folds it into
+///    the cumulative aggregates (histograms, phase totals, census totals)
+///    and hands it to the consumers: the event sink, the `--gc-log` line,
+///    and the flight recorder's GC ring. The collector derives the
+///    gc.pause_ns_total / gc.pause_ns_max counters from the same closed
+///    event (lastEvent()), so every pause figure comes from one clock.
 ///
-/// Export paths (all opt-in; the sinks may allocate, the ring never does):
-/// a structured one-line-per-collection log (`--gc-log`), a streaming
-/// Chrome trace_event JSON writer (`--trace-out`, viewable in
-/// chrome://tracing or Perfetto), and a counters+histograms+census JSON
-/// dump (`--stats-json`).
+/// Export paths (all opt-in; the sinks may allocate, the event never
+/// does): a structured one-line-per-collection log (`--gc-log`), the
+/// flight recording (`--flight-out`: GcBegin, one GcPhase per nonzero
+/// phase, GcEnd — `tools/flight_report.py --chrome` renders it as a
+/// Chrome trace), and a counters+histograms+census JSON dump
+/// (`--stats-json`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,15 +62,15 @@
 #include <cstdio>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 namespace tfgc {
 
 class FlightRing;
 
-/// The phases a collection is attributed to. RootScan doubles as the
-/// catch-all for collector work not inside a finer span (loop control,
-/// counter flushes), so the spans cover the whole pause.
+/// The phases a collection is attributed to. beginCollection opens
+/// RootScan, which doubles as the catch-all for collector work not inside
+/// a finer span (loop control, counter flushes), so the spans cover the
+/// whole pause.
 enum class GcPhase : uint8_t {
   RootScan,       ///< Stack/root scanning and span slack.
   PtrReversal,    ///< Goldberg pass 1 / Appel dynamic-chain resolution.
@@ -168,15 +172,12 @@ private:
   uint64_t MinV = UINT64_MAX;
 };
 
-/// One collection's record. Fixed size: lives in the preallocated ring.
+/// One collection's record. Fixed size: no allocation to fill or close it.
 struct GcEvent {
   uint64_t Seq = 0;     ///< Collection ordinal (0-based, monotonic).
   uint64_t StartNs = 0; ///< Start time, ns since the Telemetry epoch.
   uint64_t PauseNs = 0; ///< Full pause (includes the verify phase).
   GcEventKind Kind = GcEventKind::Full;
-  /// Chrome-trace track of the collecting thread (1 + task index under
-  /// --threads; 1 for sequential/cooperative runs).
-  uint64_t Tid = 1;
   std::array<uint64_t, NumGcPhases> PhaseNs{};
   std::array<uint64_t, NumCensusKinds> CensusObjects{};
   std::array<uint64_t, NumCensusKinds> CensusWords{};
@@ -215,8 +216,6 @@ public:
 
 class Telemetry {
 public:
-  /// The newest collections kept for inspection (and --stats-json).
-  static constexpr size_t RingCapacity = 64;
   Telemetry();
 
   /// Nanoseconds since this Telemetry was constructed — the timebase of
@@ -228,31 +227,22 @@ public:
   /// collection event.
   void setEventSink(GcEventSink *S) { Sink = S; }
 
-  /// Attaches the flight recorder's GC ring (nullptr disables): every
-  /// beginCollection / switchPhase / finishCollection is mirrored as a
-  /// GcBegin / GcPhase / GcEnd event, putting collection internals on the
-  /// same timeline as the per-thread park/refill events. Emission is
-  /// race-free for free: these calls only happen on the collecting thread
-  /// inside the pause (or on the single thread of a sequential run).
+  /// Attaches the flight recorder's GC ring (nullptr disables):
+  /// beginCollection writes a GcBegin record, and finishCollection writes
+  /// one GcPhase record per nonzero phase (Arg32 = phase, ArgA = its
+  /// exclusive ns) followed by GcEnd — at most NumGcPhases + 2 records
+  /// per collection, however many phase switches the pause made. The
+  /// records share one timeline with the per-thread park/refill events.
+  /// Emission is race-free for free: these calls only happen on the
+  /// collecting thread inside the pause (or on the single thread of a
+  /// sequential run).
   void setFlightRing(FlightRing *R) { Flight = R; }
-
-  /// Chrome-trace track for subsequent collections. The threaded runtime
-  /// sets 1 + task-index before collecting so each pause lands on the
-  /// collecting thread's track; sequential runs keep the default 1 (their
-  /// traces stay byte-identical to the pre-flight-recorder output).
-  void setTraceTid(uint64_t T) { TraceTid = T; }
-
-  /// Declares \p N mutator threads so beginTrace emits one thread_name
-  /// metadata line per track (tids 1..N) — the trace then shows a track
-  /// per thread even for threads that never collect. 0 (default) keeps
-  /// the single implicit track.
-  void declareThreads(unsigned N) { DeclaredThreads = N; }
 
   // -- Collection lifecycle (driven by Collector::collect) ------------------
   void beginCollection(GcEventKind Kind = GcEventKind::Full);
   /// Closes the event: records the pause, folds the event into the
-  /// histograms/totals, pushes it into the ring, and feeds the log/trace
-  /// sinks. \p LiveWordsAfter comes from the heap survivor hooks.
+  /// histograms/totals, and feeds the log line, the flight ring and the
+  /// event sink. \p LiveWordsAfter comes from the heap survivor hooks.
   void finishCollection(uint64_t LiveWordsAfter,
                         uint64_t HeapCapacityBytesAfter);
   bool inCollection() const { return InCollection; }
@@ -297,13 +287,9 @@ public:
 
   // -- Inspection -----------------------------------------------------------
   uint64_t collections() const { return TotalCollections; }
-  size_t ringSize() const {
-    return TotalCollections < RingCapacity ? (size_t)TotalCollections
-                                           : RingCapacity;
-  }
-  /// Retained events oldest-first: event(0) is the oldest still in the
-  /// ring, event(ringSize()-1) the newest.
-  const GcEvent &event(size_t I) const;
+  /// The most recently closed collection (valid from its finishCollection
+  /// until the next beginCollection).
+  const GcEvent &lastEvent() const { return Event; }
   const LogHistogram &pauseHistogram() const { return PauseHist; }
   /// Pause histogram restricted to collections of \p K (minor vs major
   /// pause percentiles under the generational algorithm).
@@ -328,27 +314,18 @@ public:
   uint64_t censusWordsTotal() const;
 
   // -- Export ---------------------------------------------------------------
-  /// Shown in log lines and trace events (e.g. the strategy name).
+  /// Shown in log lines and the stats JSON (e.g. the strategy name).
   void setLabel(std::string L) { Label = std::move(L); }
   /// One structured `[gc] key=value ...` line per collection to \p F
   /// (nullptr disables).
   void setLogStream(std::FILE *F) { LogStream = F; }
-  /// Starts streaming Chrome trace_event JSON to \p OS: every subsequent
-  /// collection appends one duration event for the collection and one per
-  /// nonzero phase (phases are laid out sequentially inside the collection
-  /// in enum order; fragment interleaving is aggregated away). endTrace()
-  /// closes the JSON document.
-  void beginTrace(std::ostream &OS);
-  void endTrace();
   /// Full JSON dump: Stats counters, pause/phase/world-stop histograms,
-  /// census totals, and the newest ring events.
+  /// and census totals.
   void writeStatsJson(std::ostream &OS, const Stats &St) const;
 
 private:
   void emitLogLine(const GcEvent &E) const;
-  void emitTraceEvents(const GcEvent &E);
 
-  std::array<GcEvent, RingCapacity> Ring;
   GcEvent Event;
   uint64_t TotalCollections = 0;
   GcPhase Cur = GcPhase::NumPhases; ///< NumPhases = no active phase.
@@ -367,12 +344,8 @@ private:
 
   std::string Label;
   std::FILE *LogStream = nullptr;
-  std::ostream *TraceStream = nullptr;
-  bool TraceFirstEvent = true;
   GcEventSink *Sink = nullptr;
   FlightRing *Flight = nullptr;
-  uint64_t TraceTid = 1;
-  unsigned DeclaredThreads = 0;
 };
 
 /// RAII phase span. Construction switches the telemetry (if any) into

@@ -203,26 +203,34 @@ TEST(Cli, DeepNestingExitsOne) {
 TEST(Cli, VerifyViolationExitsThreeAndStillFlushesArtifacts) {
   // The satellite guarantee: a failing verify run must not lose its
   // diagnostics. Force violations with the injection hook and require the
-  // trace, stats JSON, and heap snapshot to be complete on disk even
-  // though the process exits non-zero.
-  std::string Trace = tmpPath("trace.json");
+  // flight recording, stats JSON, and heap snapshot to be complete on
+  // disk even though the process exits non-zero.
+  std::string Flight = tmpPath("flight.bin");
   std::string StatsJson = tmpPath("stats.json");
   std::string Snap = tmpPath("snap.json");
-  std::remove(Trace.c_str());
+  std::remove(Flight.c_str());
   std::remove(StatsJson.c_str());
   std::remove(Snap.c_str());
 
   CliOptions O;
   ASSERT_TRUE(parseOk({"--stress", "--heap=16384", "--verify",
                        "--inject-verify-violation",
-                       "--trace-out=" + Trace, "--stats-json=" + StatsJson,
+                       "--flight-out=" + Flight, "--stats-json=" + StatsJson,
                        "--heap-snapshot=" + Snap, "-e",
                        wl::listChurn(20, 3)},
                       O));
   EXPECT_EQ(runTfgc(O), 3);
 
-  std::string TraceDoc = slurp(Trace);
-  EXPECT_NE(TraceDoc.find("traceEvents"), std::string::npos) << Trace;
+  // A header, then whole 32-byte records, the collections among them
+  // (the record type is byte 8 of a record; 11 = GcEnd).
+  std::string FlightDoc = slurp(Flight);
+  ASSERT_GE(FlightDoc.size(), 24u) << Flight;
+  EXPECT_EQ(FlightDoc.compare(0, 8, "TFGCFLR1"), 0) << Flight;
+  EXPECT_EQ((FlightDoc.size() - 24) % 32, 0u) << Flight;
+  size_t GcEnds = 0;
+  for (size_t At = 24; At + 32 <= FlightDoc.size(); At += 32)
+    GcEnds += FlightDoc[At + 8] == 11;
+  EXPECT_GT(GcEnds, 0u) << Flight;
   std::string StatsDoc = slurp(StatsJson);
   EXPECT_NE(StatsDoc.find("gc.collections"), std::string::npos)
       << StatsJson;
@@ -232,7 +240,7 @@ TEST(Cli, VerifyViolationExitsThreeAndStillFlushesArtifacts) {
   EXPECT_NE(SnapDoc.find("tfgc-heap-profile"), std::string::npos) << Snap;
   EXPECT_NE(SnapDoc.find("\"valid\": true"), std::string::npos) << Snap;
 
-  std::remove(Trace.c_str());
+  std::remove(Flight.c_str());
   std::remove(StatsJson.c_str());
   std::remove(Snap.c_str());
 }

@@ -5,7 +5,8 @@
 /// counter-bit-identical to recorder-off runs across every strategy and
 /// algorithm under --verify, the exit-3 abnormal path still flushing a
 /// decodable recording, in-process round-trip through FlightRecorder's
-/// file writer, and a 4-thread end-to-end run whose decoded timeline
+/// file writer, a deep-stack run whose every collection survives the
+/// default GC ring, and a 4-thread end-to-end run whose decoded timeline
 /// satisfies the handshake pairing invariants flight_report.py checks.
 ///
 //===----------------------------------------------------------------------===//
@@ -299,6 +300,60 @@ TEST(FlightCli, SequentialRunProducesCoherentTimeline) {
   EXPECT_EQ(countType(Events, FlightEventType::ThreadPark), 0u);
   EXPECT_EQ(countType(Events, FlightEventType::VmEpoch), 0u);
   std::remove(Flight.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Deep stacks: every collection survives the default GC ring
+//===----------------------------------------------------------------------===//
+
+TEST(FlightCli, DeepStackKeepsEveryCollectionWithDefaultRings) {
+  // A 3000-frame map switches phase per frame in every pause. The GC ring
+  // must still hold each collection whole: one GcBegin and one GcEnd per
+  // gc.collections, no Dropped marker, and GcPhase records that add up
+  // to the pause they belong to.
+  const std::string Src = R"(
+fun build (n : int) : int list = if n = 0 then [] else n :: build (n - 1);
+fun map (f : 'a -> 'b) (xs : 'a list) : 'b list =
+  case xs of Nil => [] | Cons(x, r) => f x :: map f r;
+fun count (xs : 'a list) : int =
+  case xs of Nil => 0 | Cons(x, r) => 1 + count r;
+count (map (fn n => (n, n)) (build 3000))
+)";
+  for (const char *Strategy : {"compiled", "interpreted", "appel"}) {
+    std::string Flight = tmpPath("deep.bin");
+    std::string StatsJson = tmpPath("deep.json");
+    std::remove(Flight.c_str());
+    std::remove(StatsJson.c_str());
+    CliOptions O;
+    ASSERT_TRUE(parseOk({std::string("--strategy=") + Strategy,
+                         "--heap=16384", "--flight-out=" + Flight,
+                         "--stats-json=" + StatsJson, "-e", Src},
+                        O));
+    ASSERT_EQ(runTfgc(O), 0) << Strategy;
+
+    uint64_t Collections = jsonCounters(StatsJson)["gc.collections"];
+    ASSERT_GE(Collections, 2u) << Strategy;
+    std::vector<FlightEvent> Events = decodeFlightFile(Flight);
+    EXPECT_EQ(countType(Events, FlightEventType::GcBegin), Collections)
+        << Strategy;
+    EXPECT_EQ(countType(Events, FlightEventType::GcEnd), Collections)
+        << Strategy;
+    EXPECT_EQ(countType(Events, FlightEventType::Dropped), 0u) << Strategy;
+    uint64_t PhaseSum = 0;
+    for (const FlightEvent &E : Events) {
+      if (E.Type == (uint8_t)FlightEventType::GcBegin) {
+        PhaseSum = 0;
+      } else if (E.Type == (uint8_t)FlightEventType::GcPhase) {
+        PhaseSum += E.ArgA;
+      } else if (E.Type == (uint8_t)FlightEventType::GcEnd) {
+        EXPECT_LE(PhaseSum, E.ArgA) << Strategy << " seq " << E.ArgB;
+        EXPECT_GE((double)PhaseSum, 0.95 * (double)E.ArgA)
+            << Strategy << " seq " << E.ArgB;
+      }
+    }
+    std::remove(Flight.c_str());
+    std::remove(StatsJson.c_str());
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,8 +7,9 @@
 /// exactly to gc.promoted_words, the minor-collection capture skip, the
 /// every-N gate, differential leak attribution ranking a planted
 /// unbounded cache as suspect #1, the per-object retainer rows the
-/// capture serves, and an edge stream as exact under the interpreted
-/// method as under the compiled one.
+/// capture serves, an edge stream as exact under the interpreted method
+/// as under the compiled one, and roots taken from the traced (live)
+/// frame slots only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -452,5 +453,36 @@ TEST(HeapGraph, RetainersFollowTheCaptureGate) {
     EXPECT_EQ(Snap.RetainersComputed, Graph.lastCapture().Seq == Snap.Seq)
         << Every;
     EXPECT_EQ(Snap.RetainersComputed, (Snap.Seq + 1) % Every == 0) << Every;
+  }
+}
+
+TEST(HeapGraph, DeadSlotAliasingALiveObjectIsNotARoot) {
+  // Mark-sweep moves nothing, so a dead frame slot can still hold the
+  // exact address of a live object. At the cons in probe, `alias` is dead
+  // but holds the list that `keep`'s ref cell retains (and stale slots of
+  // earlier frames hold its tail). Roots are the slots the frame routines
+  // trace at the GC point, so the ref cell's slot in main is the only
+  // root and the cell dominates the whole list. (Appel's descriptors
+  // trace every pointer slot of a procedure, dead or not, and the tagged
+  // scan every tagged word: their roots include such slots by design.)
+  const char *Src = R"(
+fun build (n : int) : int list = if n = 0 then [] else n :: build (n - 1);
+fun len (xs : int list) : int = case xs of Nil => 0 | Cons(x, r) => 1 + len r;
+val keep = ref (build 40);
+fun probe (u : int) : int =
+  let val alias = !keep in
+  let val n = len alias in
+    n + len (u :: [])
+  end end;
+probe 0 + len (!keep)
+)";
+  for (GcStrategy S :
+       {GcStrategy::CompiledTagFree, GcStrategy::InterpretedTagFree}) {
+    auto R = runGraphed(Src, S, GcAlgorithm::MarkSweep);
+    ASSERT_TRUE(R);
+    const HeapGraph::CaptureInfo &Cap = R->Graph.lastCapture();
+    ASSERT_TRUE(Cap.Valid) << gcStrategyName(S);
+    EXPECT_EQ(Cap.Nodes, 41u) << gcStrategyName(S); // The cell + 40 conses.
+    EXPECT_EQ(Cap.RootRefs, 1u) << gcStrategyName(S);
   }
 }

@@ -1,17 +1,19 @@
 //===- tests/telemetry_test.cpp - Telemetry layer tests ------------------===//
 ///
 /// Covers the GC telemetry layer: log-histogram bucket boundaries and
-/// percentile math, ring-buffer wraparound, the census-equals-counters
-/// invariant on a real workload under every strategy, phase-span
-/// partitioning of the pause, and the validity of the Chrome-trace and
-/// stats-JSON exports (parsed back with a tiny JSON parser below).
+/// percentile math, the census-equals-counters invariant on a real
+/// workload under every strategy, phase-span partitioning of the pause,
+/// the pause counters read off the closed events, the bounded flight
+/// records per collection, and the validity of the stats-JSON export.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "support/FlightRecorder.h"
 #include "support/Telemetry.h"
 #include "workloads/Programs.h"
 
+#include <algorithm>
 #include <sstream>
 
 using namespace tfgc;
@@ -101,60 +103,48 @@ TEST(LogHistogram, PercentileMath) {
 }
 
 //===----------------------------------------------------------------------===//
-// Ring buffer
+// Collection lifecycle
 //===----------------------------------------------------------------------===//
 
-TEST(Telemetry, RingKeepsNewest) {
-  constexpr uint64_t Cap = Telemetry::RingCapacity;
-  constexpr uint64_t Total = 2 * Cap + 6; // Wraps around twice.
-  Telemetry T;
-  for (uint64_t I = 0; I < Total; ++I) {
-    T.beginCollection();
-    EXPECT_TRUE(T.inCollection());
-    T.finishCollection(/*LiveWordsAfter=*/I, /*HeapCapacityBytesAfter=*/64);
-    EXPECT_FALSE(T.inCollection());
-  }
-  EXPECT_EQ(T.collections(), Total);
-  EXPECT_EQ(T.ringSize(), Cap);
-  // Oldest-first: the newest Cap collections survive.
-  for (size_t I = 0; I < Cap; ++I) {
-    EXPECT_EQ(T.event(I).Seq, Total - Cap + I);
-    EXPECT_EQ(T.event(I).LiveWordsAfter, Total - Cap + I);
-  }
-  // Aggregates still cover every collection.
-  EXPECT_EQ(T.pauseHistogram().count(), Total);
-}
+/// Keeps every closed collection event.
+struct EventLog : GcEventSink {
+  std::vector<GcEvent> Events;
+  void onGcEvent(const GcEvent &E) override { Events.push_back(E); }
+};
 
-TEST(Telemetry, StatsJsonListsTheWholeRing) {
+TEST(Telemetry, FlightRecordsAreBoundedPerCollection) {
+  // However many phase switches a pause makes (one per frame on a deep
+  // stack), the GC ring gets GcBegin, one GcPhase per nonzero phase with
+  // its exclusive total, and GcEnd.
+  FlightRing Ring(64, FlightRecorder::GcTid, std::chrono::steady_clock::now());
   Telemetry T;
-  for (uint64_t I = 0; I < Telemetry::RingCapacity + 3; ++I) {
-    T.beginCollection();
+  T.setFlightRing(&Ring);
+  T.beginCollection(GcEventKind::Major);
+  {
+    PhaseScope Root(&T, GcPhase::RootScan);
+    for (int I = 0; I < 1000; ++I) {
+      PhaseScope Frame(&T, GcPhase::FrameDispatch);
+      PhaseScope Build(&T, GcPhase::TgClosureBuild);
+    }
     T.finishCollection(0, 0);
   }
-  Stats St;
-  std::ostringstream OS;
-  T.writeStatsJson(OS, St);
-  std::string J = OS.str();
-  size_t Listed = 0;
-  for (size_t P = J.find("{\"seq\": "); P != std::string::npos;
-       P = J.find("{\"seq\": ", P + 1))
-    ++Listed;
-  EXPECT_EQ(Listed, Telemetry::RingCapacity);
-  // The three oldest collections have left the ring.
-  EXPECT_EQ(J.find("{\"seq\": 2,"), std::string::npos);
-  EXPECT_NE(J.find("{\"seq\": 3,"), std::string::npos);
-}
-
-TEST(Telemetry, RingBeforeWraparound) {
-  Telemetry T;
-  for (uint64_t I = 0; I < 3; ++I) {
-    T.beginCollection();
-    T.finishCollection(0, 0);
+  std::vector<FlightEvent> Out;
+  EXPECT_EQ(Ring.drain(Out), 0u);
+  ASSERT_EQ(Out.size(), 5u);
+  EXPECT_EQ(Out.front().Type, (uint8_t)FlightEventType::GcBegin);
+  EXPECT_EQ(Out.front().Arg32, (uint32_t)GcEventKind::Major);
+  const GcEvent &E = T.lastEvent();
+  uint64_t Sum = 0;
+  for (size_t I = 1; I + 1 < Out.size(); ++I) {
+    EXPECT_EQ(Out[I].Type, (uint8_t)FlightEventType::GcPhase);
+    ASSERT_LT(Out[I].Arg32, NumGcPhases);
+    EXPECT_EQ(Out[I].ArgA, E.PhaseNs[Out[I].Arg32]);
+    Sum += Out[I].ArgA;
   }
-  EXPECT_EQ(T.collections(), 3u);
-  EXPECT_EQ(T.ringSize(), 3u);
-  for (size_t I = 0; I < 3; ++I)
-    EXPECT_EQ(T.event(I).Seq, I);
+  EXPECT_EQ(Sum, E.phaseNsSum());
+  EXPECT_EQ(Out.back().Type, (uint8_t)FlightEventType::GcEnd);
+  EXPECT_EQ(Out.back().ArgA, E.PauseNs);
+  EXPECT_EQ(Out.back().ArgB, E.Seq);
 }
 
 TEST(Telemetry, PhaseSwitchIgnoredOutsideCollectionAndWhilePaused) {
@@ -193,7 +183,8 @@ struct TelemetryRun {
 
 TelemetryRun runWithTelemetry(const std::string &Source, GcStrategy S,
                               GcAlgorithm A = GcAlgorithm::Copying,
-                              size_t HeapBytes = 1 << 14) {
+                              size_t HeapBytes = 1 << 14,
+                              GcEventSink *Sink = nullptr) {
   TelemetryRun R;
   Compiled C = compile(Source);
   EXPECT_TRUE(C.P) << C.Error;
@@ -205,6 +196,7 @@ TelemetryRun runWithTelemetry(const std::string &Source, GcStrategy S,
   EXPECT_TRUE(R.Col) << Error;
   if (!R.Col)
     return R;
+  R.Col->telemetry().setEventSink(Sink);
   Vm M(R.P->Prog, R.P->Image, *R.P->Types, *R.Col,
        defaultVmOptions(S, /*GcStress=*/true));
   RunResult Run = M.run();
@@ -245,28 +237,25 @@ TEST(Telemetry, CensusMatchesVisitCountersMarkSweep) {
 }
 
 TEST(Telemetry, PhaseSpansPartitionThePause) {
+  EventLog Log;
   TelemetryRun R =
-      runWithTelemetry(wl::listChurn(40, 20), GcStrategy::CompiledTagFree);
+      runWithTelemetry(wl::listChurn(40, 20), GcStrategy::CompiledTagFree,
+                       GcAlgorithm::Copying, 1 << 14, &Log);
   ASSERT_TRUE(R.Col);
   Telemetry &T = R.Col->telemetry();
   ASSERT_GT(T.collections(), 0u);
+  ASSERT_EQ(Log.Events.size(), T.collections());
 
-  // Per event: the switch-clock reads nest strictly inside
-  // [beginCollection, finishCollection], so phase time never exceeds the
-  // pause.
-  for (size_t I = 0; I < T.ringSize(); ++I) {
-    const GcEvent &E = T.event(I);
-    EXPECT_LE(E.phaseNsSum(), E.PauseNs) << "event " << I;
-  }
+  // Per event: beginCollection's clock read opens RootScan and
+  // finishCollection's closes the last span, so the phases tile the pause
+  // with no slack at either end.
+  for (const GcEvent &E : Log.Events)
+    EXPECT_EQ(E.phaseNsSum(), E.PauseNs) << "event " << E.Seq;
 
-  // In aggregate the spans cover the pause up to a few instructions of
-  // slack per collection (the acceptance bound for the CLI trace is 5%;
-  // allow more headroom here for loaded CI machines).
   uint64_t PhaseSum = 0;
   for (size_t P = 0; P < NumGcPhases; ++P)
     PhaseSum += T.phaseNsTotal((GcPhase)P);
-  EXPECT_LE(PhaseSum, T.pauseNsTotal());
-  EXPECT_GE((double)PhaseSum, 0.80 * (double)T.pauseNsTotal());
+  EXPECT_EQ(PhaseSum, T.pauseNsTotal());
 
   // The stress workload exercises every tag-free phase.
   EXPECT_GT(T.phaseNsTotal(GcPhase::RootScan), 0u);
@@ -301,6 +290,38 @@ TEST(Telemetry, PercentileStatsPublished) {
   EXPECT_TRUE(R.St.has("task.world_stop_delay_ns_p99"));
 }
 
+TEST(Telemetry, PauseCountersReadTheClosedEvents) {
+  // gc.pause_ns_total / gc.pause_ns_max are each event's pause less its
+  // verify phase — the pause histogram's clock, not a second one.
+  Compiled C = compile(wl::listChurn(40, 20));
+  ASSERT_TRUE(C.P) << C.Error;
+  for (bool Verify : {false, true}) {
+    Stats St;
+    std::string Error;
+    auto Col = C.P->makeCollector(GcStrategy::CompiledTagFree,
+                                  GcAlgorithm::Generational, 1 << 15, St,
+                                  &Error);
+    ASSERT_TRUE(Col) << Error;
+    Col->setVerifyAfterGc(Verify);
+    EventLog Log;
+    Col->telemetry().setEventSink(&Log);
+    Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col,
+         defaultVmOptions(GcStrategy::CompiledTagFree, /*GcStress=*/true));
+    ASSERT_TRUE(M.run().Ok);
+    ASSERT_GT(Log.Events.size(), 0u);
+    uint64_t Total = 0, Max = 0;
+    for (const GcEvent &E : Log.Events) {
+      uint64_t Ns = E.PauseNs - E.PhaseNs[(size_t)GcPhase::Verify];
+      Total += Ns;
+      Max = std::max(Max, Ns);
+    }
+    EXPECT_EQ(St.get(StatId::GcPauseNsTotal), Total) << Verify;
+    EXPECT_EQ(St.get(StatId::GcPauseNsMax), Max) << Verify;
+    if (!Verify)
+      EXPECT_EQ(Max, Col->telemetry().pauseHistogram().max());
+  }
+}
+
 TEST(Telemetry, VerifyPassDoesNotPolluteCensus) {
   Compiled C = compile(wl::listChurn(40, 20));
   ASSERT_TRUE(C.P) << C.Error;
@@ -330,39 +351,6 @@ TEST(Telemetry, VerifyPassDoesNotPolluteCensus) {
 // Export formats
 //===----------------------------------------------------------------------===//
 
-TEST(Telemetry, ChromeTraceIsValidJson) {
-  Compiled C = compile(wl::listChurn(40, 20));
-  ASSERT_TRUE(C.P) << C.Error;
-  Stats St;
-  std::string Error;
-  auto Col = C.P->makeCollector(GcStrategy::CompiledTagFree,
-                                GcAlgorithm::Copying, 1 << 14, St, &Error);
-  ASSERT_TRUE(Col) << Error;
-  std::ostringstream Trace;
-  Telemetry &T = Col->telemetry();
-  T.setLabel("compiled-tagfree");
-  T.beginTrace(Trace);
-  Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col,
-       defaultVmOptions(GcStrategy::CompiledTagFree, /*GcStress=*/true));
-  RunResult Run = M.run();
-  ASSERT_TRUE(Run.Ok) << Run.Error;
-  T.endTrace();
-
-  std::string J = Trace.str();
-  EXPECT_TRUE(validJson(J)) << J.substr(0, 400);
-  EXPECT_NE(J.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(J.find("\"gc.collection\""), std::string::npos);
-  EXPECT_NE(J.find("\"frame_dispatch\""), std::string::npos);
-  EXPECT_NE(J.find("compiled-tagfree"), std::string::npos);
-  // The trace streams: it covers every collection, not just the ring.
-  size_t Events = 0, At = 0;
-  while ((At = J.find("\"gc.collection\"", At)) != std::string::npos) {
-    ++Events;
-    At += 1;
-  }
-  EXPECT_EQ(Events, T.collections());
-}
-
 TEST(Telemetry, StatsJsonIsValidAndComplete) {
   TelemetryRun R =
       runWithTelemetry(wl::listChurn(40, 20), GcStrategy::CompiledTagFree);
@@ -373,7 +361,8 @@ TEST(Telemetry, StatsJsonIsValidAndComplete) {
   EXPECT_TRUE(validJson(J)) << J.substr(0, 400);
   EXPECT_NE(J.find("\"pause_histogram\""), std::string::npos);
   EXPECT_NE(J.find("\"census_totals\""), std::string::npos);
-  EXPECT_NE(J.find("\"recent_collections\""), std::string::npos);
+  // Per-collection events go to the flight recording, not this dump.
+  EXPECT_EQ(J.find("\"recent_collections\""), std::string::npos);
   EXPECT_NE(J.find("\"gc.collections\""), std::string::npos);
   EXPECT_NE(J.find("\"p99\""), std::string::npos);
 }

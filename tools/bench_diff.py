@@ -28,8 +28,9 @@ Usage:
                  baselines present)
   --warn-ratio R warn when a timing moved by more than R x (default 1.5)
 
-Exit status: 1 on counter drift (or a missing/extra run), 0 otherwise —
-timing warnings never fail the diff.
+Exit status: 1 on counter drift (or a missing/extra run, or two runs of
+one file sharing a run key), 0 otherwise — timing warnings never fail
+the diff.
 
 Typical CI wiring:
   tools/run_benches.sh build && mkdir fresh && mv BENCH_*.json fresh/ \
@@ -119,11 +120,24 @@ def handshake_drift(name, key, counters):
     return []
 
 
+def keyed_runs(name, which, doc, drift):
+    """table_runs by run key; a key held by two rows is drift (one row
+    would silently shadow the other)."""
+    runs = {}
+    for r in doc.get("table_runs", []):
+        key = run_key(r)
+        if key in runs:
+            drift.append("%s: %s has two runs keyed %s" %
+                         (name, which, fmt_key(key)))
+        runs[key] = r
+    return runs
+
+
 def diff_table_runs(name, base, fresh):
     """Returns (drift_lines, warn_lines) for one bench's table_runs."""
     drift, warns = [], []
-    base_runs = {run_key(r): r for r in base.get("table_runs", [])}
-    fresh_runs = {run_key(r): r for r in fresh.get("table_runs", [])}
+    base_runs = keyed_runs(name, "baseline", base, drift)
+    fresh_runs = keyed_runs(name, "fresh output", fresh, drift)
     for key in sorted(set(base_runs) | set(fresh_runs)):
         if key not in fresh_runs:
             drift.append("%s: run missing from fresh output: %s" %

@@ -8,7 +8,7 @@ size, u64 reserved) followed by 32-byte little-endian records:
                   rings, so the whole file is one global timeline)
     u8  type      FlightEventType (support/FlightRecorder.h)
     u8  tid       0..N-1 mutator tasks, 128+k trace worker k, 254 the GC
-                  ring (handshake arms + collection begin/phase/end)
+                  ring (handshake arms + collection begin/phases/end)
     u16 reserved
     u32 arg32     e.g. the handshake epoch for park/resume/arm
     u64 arg_a     e.g. the request-to-park delay in ns
@@ -26,11 +26,17 @@ Modes:
                                           timestamps, handshake pairing);
                                           exit 1 on violation
     flight_report.py --stats STATS FILE   cross-check against the run's
-                                          --stats-json (park counts per
-                                          task == task.<i>.world_stop_delays)
+                                          --stats-json; exit 1 on mismatch
+                                          (see cross_check_stats)
     flight_report.py --chrome OUT FILE    multi-track Chrome trace JSON
                                           (one track per tid; view in
                                           Perfetto / chrome://tracing)
+
+Each collection is GcBegin, one GcPhase per nonzero phase (arg32 = phase,
+arg_a = its exclusive ns) and GcEnd on the GC ring. The collection
+belongs to the thread that owned the pause: the last parker or handoff
+thread of the handshake before it (task 0 in a sequential run). Chrome
+track k + 1 is tid k, so task i is track i + 1.
 """
 
 import json
@@ -214,6 +220,31 @@ def attribution(events):
     return rows
 
 
+def collections(events):
+    """Per collection: seq, kind, start/pause ns, [(phase, ns)], owner.
+
+    A GcEnd whose GcBegin was overwritten starts at end - pause.
+    """
+    out = []
+    owner = 0
+    cur = None
+    for e in events:
+        if (e.type == T_PARK and e.arg_b) or e.type == T_HANDOFF:
+            owner = e.tid
+        elif e.type == T_GCBEGIN:
+            cur = {"start": e.time_ns, "phases": []}
+        elif e.type == T_GCPHASE and cur is not None:
+            cur["phases"].append((e.arg32, e.arg_a))
+        elif e.type == T_GCEND:
+            c = cur if cur is not None else {"start": e.time_ns - e.arg_a,
+                                             "phases": []}
+            c.update(seq=e.arg_b, pause=e.arg_a, owner=owner,
+                     kind=GC_KIND_NAMES[e.arg32] if e.arg32 < 3 else "?")
+            out.append(c)
+            cur = None
+    return out
+
+
 def print_report(events):
     n_by_type = {}
     tids = set()
@@ -245,49 +276,126 @@ def print_report(events):
 
 
 def cross_check_stats(events, stats_path):
-    """Park counts per tid must equal task.<i>.world_stop_delays."""
+    """Checks the recording against the run's --stats-json.
+
+    The collector is exercised (collections > 0) and the GC ring dropped
+    nothing; one collection per stats `collections`, with the minor/major
+    split; the GcPhase records cover the pause histogram's sum within
+    [0.95, 1.0001]; census objects == gc.objects_visited (verify off);
+    under --threads=N tasks are tracks 1..N and every collection is on
+    one of them; park counts per task == task.<i>.world_stop_delays
+    (skipped when a task ring dropped records).
+    """
     with open(stats_path) as f:
         stats = json.load(f)
     counters = stats.get("counters", {})
-    if any(e.type == T_DROPPED for e in events):
-        print("note: dropped markers present; skipping stats cross-check",
-              file=sys.stderr)
-        return []
-    parks = {}
-    for e in events:
-        if e.type == T_PARK:
-            parks[e.tid] = parks.get(e.tid, 0) + 1
+    n = stats["collections"]
+    if n == 0:
+        return [f"{stats_path} reports zero collections — the run never "
+                "exercised the collector (heap too large for the "
+                "workload?)"]
     errs = []
-    for key, want in counters.items():
-        if not key.startswith("task.") or \
-                not key.endswith(".world_stop_delays"):
-            continue
-        tid = int(key.split(".")[1])
-        got = parks.get(tid, 0)
-        if got != want:
-            errs.append(f"task {tid}: {got} park events, stats report "
-                        f"{key}={want}")
-    total_parks = sum(parks.values())
-    print(f"stats cross-check: {total_parks} parks across "
-          f"{len(parks)} tasks match per-task world_stop_delays"
-          if not errs else f"stats cross-check: {len(errs)} mismatch(es)")
+    gc_dropped = sum(e.arg_a for e in events
+                     if e.type == T_DROPPED and e.tid == GC_TID)
+    if gc_dropped:
+        errs.append(f"GC ring dropped {gc_dropped} record(s): collections "
+                    "are missing from the recording")
+    colls = collections(events)
+    begins = sum(1 for e in events if e.type == T_GCBEGIN)
+    if len(colls) != n or begins != n:
+        errs.append(f"{begins} gc_begin / {len(colls)} gc_end records, "
+                    f"stats report {n} collections")
+    for kind in ("minor", "major"):
+        key = "collections_" + kind
+        got = sum(1 for c in colls if c["kind"] == kind)
+        if key in stats and got != stats[key]:
+            errs.append(f"{got} {kind} collections recorded, stats report "
+                        f"{key}={stats[key]}")
+
+    phase_ns = sum(ns for c in colls for _, ns in c["phases"])
+    pause_ns = stats["pause_histogram"]["sum"]
+    ratio = phase_ns / pause_ns if pause_ns else 0.0
+    if not 0.95 <= ratio <= 1.0001:
+        errs.append(f"phase records cover {ratio:.2%} of the pause "
+                    f"({phase_ns} / {pause_ns} ns), want within 5%")
+
+    census = sum(k["objects"] for k in stats["census_totals"].values())
+    visited = counters.get("gc.objects_visited", 0)
+    if counters.get("gc.verify_passes", 0):
+        print("note: verify re-traces count toward gc.objects_visited; "
+              "census cross-check skipped", file=sys.stderr)
+    elif census != visited:
+        errs.append(f"census objects {census} != gc.objects_visited "
+                    f"{visited}")
+
+    spawned = counters.get("task.spawned", 0)
+    if spawned >= 2:
+        tracks = sorted({e.tid + 1 for e in events
+                         if e.tid < WORKER_TID_BASE})
+        if tracks != list(range(1, spawned + 1)):
+            errs.append(f"task tracks {tracks}, want 1..{spawned} "
+                        f"(task.spawned={spawned})")
+        bad = sorted({c["owner"] + 1 for c in colls
+                      if not 1 <= c["owner"] + 1 <= spawned})
+        if bad:
+            errs.append(f"collections on tracks {bad}, want 1..{spawned}")
+
+    if any(e.type == T_DROPPED and e.tid != GC_TID for e in events):
+        print("note: a task ring dropped records; skipping the park "
+              "cross-check", file=sys.stderr)
+    else:
+        parks = {}
+        for e in events:
+            if e.type == T_PARK:
+                parks[e.tid] = parks.get(e.tid, 0) + 1
+        for key, want in counters.items():
+            if not key.startswith("task.") or \
+                    not key.endswith(".world_stop_delays"):
+                continue
+            tid = int(key.split(".")[1])
+            if parks.get(tid, 0) != want:
+                errs.append(f"task {tid}: {parks.get(tid, 0)} park events, "
+                            f"stats report {key}={want}")
+    if not errs:
+        print(f"stats cross-check: collections={n} coverage={ratio:.4f} "
+              f"census={census}" +
+              (f" tracks={spawned}" if spawned >= 2 else ""))
     return errs
 
 
+PHASE_SPAN_NAMES = {"full": "gc.collection", "minor": "gc.minor",
+                    "major": "gc.major"}
+
+
 def chrome_trace(events, out_path):
-    """One Chrome-trace track per tid; durations for pauses and parks,
-    instants for the rest."""
+    """One Chrome-trace track per tid (track = tid + 1): a span per
+    collection on its owner's track with the phases laid out in sequence
+    inside it, spans for parks and trace workers, instants for the
+    rest."""
     out = []
-    tids = sorted({e.tid for e in events})
-    for tid in tids:
+    for tid in sorted({e.tid for e in events}):
         name = next(e for e in events if e.tid == tid).tid_name()
         out.append({"name": "thread_name", "ph": "M", "pid": 1,
-                    "tid": tid, "args": {"name": name}})
+                    "tid": tid + 1, "args": {"name": name}})
+    for c in collections(events):
+        track = c["owner"] + 1
+        out.append({"name": PHASE_SPAN_NAMES.get(c["kind"], "gc.?"),
+                    "cat": "gc", "ph": "X", "ts": c["start"] / 1e3,
+                    "dur": c["pause"] / 1e3, "pid": 1, "tid": track,
+                    "args": {"seq": c["seq"], "kind": c["kind"]}})
+        at = c["start"]
+        for phase, ns in c["phases"]:
+            name = GC_PHASE_NAMES[phase] if phase < len(GC_PHASE_NAMES) \
+                else f"phase{phase}"
+            out.append({"name": name, "cat": "gc.phase", "ph": "X",
+                        "ts": at / 1e3, "dur": ns / 1e3, "pid": 1,
+                        "tid": track})
+            at += ns
     open_park = {}   # tid -> park event
-    open_gc = None   # gc_begin event
     open_worker = {}
     for e in events:
-        ts = e.time_ns / 1e3
+        if e.type in (T_GCBEGIN, T_GCPHASE, T_GCEND):
+            continue  # Drawn as collection spans above.
         if e.type == T_PARK:
             open_park[e.tid] = e
         elif e.type == T_RESUME and e.tid in open_park:
@@ -295,20 +403,10 @@ def chrome_trace(events, out_path):
             out.append({"name": "parked", "cat": "safepoint", "ph": "X",
                         "ts": p.time_ns / 1e3,
                         "dur": (e.time_ns - p.time_ns) / 1e3,
-                        "pid": 1, "tid": e.tid,
+                        "pid": 1, "tid": e.tid + 1,
                         "args": {"epoch": p.arg32,
                                  "park_delay_ns": p.arg_a,
                                  "last_parker": bool(p.arg_b)}})
-        elif e.type == T_GCBEGIN:
-            open_gc = e
-        elif e.type == T_GCEND:
-            kind = GC_KIND_NAMES[e.arg32] if e.arg32 < 3 else "?"
-            start = open_gc.time_ns if open_gc else e.time_ns - e.arg_a
-            out.append({"name": f"gc.{kind}", "cat": "gc", "ph": "X",
-                        "ts": start / 1e3, "dur": e.arg_a / 1e3,
-                        "pid": 1, "tid": GC_TID,
-                        "args": {"seq": e.arg_b}})
-            open_gc = None
         elif e.type == T_WBEGIN:
             open_worker[e.tid] = e
         elif e.type == T_WEND and e.tid in open_worker:
@@ -316,11 +414,12 @@ def chrome_trace(events, out_path):
             out.append({"name": "trace_worker", "cat": "gc", "ph": "X",
                         "ts": b.time_ns / 1e3,
                         "dur": (e.time_ns - b.time_ns) / 1e3,
-                        "pid": 1, "tid": e.tid,
+                        "pid": 1, "tid": e.tid + 1,
                         "args": {"steals": e.arg_a}})
         else:
             out.append({"name": e.type_name(), "cat": "flight", "ph": "i",
-                        "ts": ts, "s": "t", "pid": 1, "tid": e.tid,
+                        "ts": e.time_ns / 1e3, "s": "t", "pid": 1,
+                        "tid": e.tid + 1,
                         "args": {"arg32": e.arg32, "a": e.arg_a,
                                  "b": e.arg_b}})
     with open(out_path, "w") as f:

@@ -13,9 +13,13 @@
 ///   --heap=BYTES       initial heap size (default 1 MiB)
 ///   --verify           re-trace after every collection; exit 3 on
 ///                      violations
-///   --gc-log / --trace-out=FILE / --stats-json=FILE
-///                      collection telemetry (log lines, Chrome trace,
+///   --gc-log / --stats-json=FILE
+///                      collection telemetry (log lines,
 ///                      counters+histograms JSON)
+///   --flight-out=FILE  binary event recording: every collection with
+///                      its phase times, safepoint handshakes, TLAB
+///                      refills (tools/flight_report.py checks it against
+///                      --stats-json and exports a Chrome trace)
 ///   --heap-profile     allocation-site + typed-heap profiling (tag-free:
 ///                      attribution without per-object headers)
 ///   --heap-snapshot=F  write the last collection's typed snapshot as
