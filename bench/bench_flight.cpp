@@ -11,7 +11,7 @@
 ///   off   no recorder attached: the permanent baseline.
 ///   on    --flight-out semantics in-process: a FlightRecorder with the
 ///         default 64 KiB rings, the VM's ring wired, the collector's
-///         GC/worker rings wired, drains to a real file.
+///         GC ring wired, drains to a real file.
 ///
 /// In the sequential VM the fuel-poll site never arms (no coordinator),
 /// so 'on' pays only the GC mirrors + TLAB-free alloc path: the ratio
@@ -68,7 +68,7 @@ Stats flightRun(CompiledProgram &P, GcAlgorithm A, size_t Heap,
   }
   std::unique_ptr<FlightRecorder> F;
   if (Mode == On) {
-    F = std::make_unique<FlightRecorder>(/*NumTasks=*/1, /*NumWorkers=*/1,
+    F = std::make_unique<FlightRecorder>(/*NumTasks=*/1, /*Unused=*/0,
                                          /*BufferKb=*/64);
     if (!F->openFile(FlightTmp, Err)) {
       std::fprintf(stderr, "flight open failed: %s\n", Err.c_str());

@@ -3,13 +3,12 @@
 #include "core/Collector.h"
 #include "core/Space.h"
 #include "gcmeta/CompiledRoutines.h"
-#include "sched/WorkSteal.h"
 #include "support/FlightRecorder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
-#include <thread>
 
 using namespace tfgc;
 
@@ -112,85 +111,58 @@ bool Collector::traceStacksParallel(
                              Stats &WorkerSt, CensusCounts &WorkerCensus)>
         &TraceStack) {
   unsigned NumStacks = (unsigned)Roots.Stacks.size();
-  if (GcThreads < 2 || Prof || NumStacks < 2)
+  if (!Crew || GcThreads < 2 || Prof || NumStacks < 2)
     return false;
   unsigned K = std::min(GcThreads, NumStacks);
 
   // A worker's private world: a sibling Space targeting the same heap
-  // through the claim/publish protocol, a counter domain, a census
-  // accumulator, and a deque of stack indices. unique_ptr because the
-  // deque holds atomics (not movable).
+  // through the claim/publish protocol, a counter domain and a census
+  // accumulator.
   struct WorkerCtx {
     std::unique_ptr<Space> Sp;
     Stats St;
     CensusCounts Census;
-    WorkStealDeque<uint32_t> Deque;
   };
-  std::vector<std::unique_ptr<WorkerCtx>> Workers;
-  for (unsigned W = 0; W < K; ++W) {
-    auto C = std::make_unique<WorkerCtx>();
-    C->Sp = Sp.makeWorkerSpace();
-    if (!C->Sp)
+  std::vector<WorkerCtx> Workers(K);
+  for (WorkerCtx &C : Workers) {
+    C.Sp = Sp.makeWorkerSpace();
+    if (!C.Sp)
       return false; // CheckSpace / unarmed heap: serial only.
-    Workers.push_back(std::move(C));
   }
-  // Seed round-robin before any thread exists (owner-only push is safe:
-  // nobody steals yet).
-  for (uint32_t I = 0; I < NumStacks; ++I)
-    Workers[I % K]->Deque.push(I);
+  // The work units are the stacks, all known up front: one claim flag
+  // each. Any worker drains every unclaimed stack, so the trace completes
+  // however many of the K workers the crew actually runs.
+  std::vector<std::atomic<bool>> Claimed(NumStacks);
 
-  auto RunWorker = [&](unsigned W) {
-    WorkerCtx &C = *Workers[W];
-    // Each worker is the sole producer of its own flight ring (drained
-    // later, after the joins, by the end-of-collection drain).
-    FlightRing *FR = Flight ? &Flight->workerRing(W) : nullptr;
-    if (FR)
-      FR->record(FlightEventType::TraceWorkerBegin, W);
+  Crew(K, [&](unsigned W, FlightRing *Ring) {
+    WorkerCtx &C = Workers[W];
+    if (Ring)
+      Ring->record(FlightEventType::TraceWorkerBegin, W);
     uint64_t Steals = 0;
-    for (;;) {
-      uint32_t Idx;
-      bool Ran = false;
-      while (C.Deque.pop(Idx)) {
-        Ran = true;
-        TraceStack(*Roots.Stacks[Idx], *C.Sp, C.St, C.Census);
+    auto Take = [&](unsigned I, bool Steal) {
+      if (Claimed[I].exchange(true, std::memory_order_relaxed))
+        return;
+      if (Steal) {
+        C.St.add(StatId::GcStackSteals);
+        ++Steals;
       }
-      bool Any = false;
-      for (unsigned D = 1; D < K; ++D) {
-        WorkStealDeque<uint32_t> &Victim = Workers[(W + D) % K]->Deque;
-        if (Victim.steal(Idx)) {
-          C.St.add(StatId::GcStackSteals);
-          ++Steals;
-          TraceStack(*Roots.Stacks[Idx], *C.Sp, C.St, C.Census);
-          Ran = Any = true;
-          break;
-        }
-        if (!Victim.emptyApprox())
-          Any = true; // Lost a race to another thief; sweep again.
-      }
-      if (!Ran && !Any)
-        break;
-    }
-    if (FR)
-      FR->record(FlightEventType::TraceWorkerEnd, W, Steals);
-  };
+      TraceStack(*Roots.Stacks[I], *C.Sp, C.St, C.Census);
+    };
+    for (unsigned I = W; I < NumStacks; I += K)
+      Take(I, false);
+    for (unsigned I = 0; I < NumStacks; ++I)
+      if (I % K != W)
+        Take(I, true);
+    if (Ring)
+      Ring->record(FlightEventType::TraceWorkerEnd, W, Steals);
+  });
 
-  std::vector<std::thread> Threads;
-  Threads.reserve(K - 1);
-  for (unsigned W = 1; W < K; ++W)
-    Threads.emplace_back([&RunWorker, W] {
-      Stats::setThreadLabel("gc-worker");
-      RunWorker(W);
-    });
-  RunWorker(0);
-  for (std::thread &Th : Threads)
-    Th.join();
-
-  // Single-threaded again (joins give happens-before): merge each
-  // worker's space-local tallies, counters, and census.
-  for (auto &C : Workers) {
-    Sp.mergeWorker(*C->Sp);
-    Stats::mergeShard(St.baseShard(), C->St.baseShard());
-    Tel.censusBulk(C->Census);
+  // The crew's return orders every worker's writes before this thread:
+  // merge each worker's space-local tallies, counters, and census.
+  for (WorkerCtx &C : Workers) {
+    Sp.mergeWorker(*C.Sp);
+    Stats::mergeShard(St.baseShard(), C.St.baseShard());
+    Tel.censusBulk(C.Census);
   }
   St.add(StatId::GcParallelTraces);
   St.max(StatId::GcParallelWorkers, K);

@@ -39,6 +39,7 @@
 namespace tfgc {
 
 class FlightRecorder;
+class FlightRing;
 class Type;
 
 enum class GcAlgorithm : uint8_t { Copying, MarkSweep, Generational };
@@ -94,11 +95,11 @@ public:
   Monitor *monitor() { return Mon; }
 
   /// Attaches the flight recorder (not owned; may be null). Wires the
-  /// telemetry's per-collection GC ring records, makes the trace workers
-  /// stamp begin/end events into their per-worker rings, and drains all
-  /// rings at the end of every collection (the world is stopped, so no
-  /// producer races the drain). Null (the default) costs one untaken
-  /// branch per site.
+  /// telemetry's per-collection GC ring records and drains all rings at
+  /// the end of every collection (the world is stopped, so no producer
+  /// races the drain). Trace workers stamp their begin/end events into
+  /// the ring of the task running them (see TraceCrew). Null (the
+  /// default) costs one untaken branch per site.
   void setFlightRecorder(FlightRecorder *F);
   FlightRecorder *flightRecorder() { return Flight; }
 
@@ -129,11 +130,27 @@ public:
   Word *tryAllocatePayload(size_t PayloadWords, ObjKind Kind,
                            Tlab *T = nullptr, StatsShard *Sh = nullptr);
 
-  /// Number of GC worker threads for the trace phase (1 = serial, the
-  /// default). Arms the heaps' claim/publish protocol when > 1. Call
-  /// before the first collection.
+  /// Width cap of the parallel trace phase (1 = serial, the default).
+  /// Arms the heaps' claim/publish protocol when > 1. Call before the
+  /// first collection. The trace runs in parallel only on an attached
+  /// TraceCrew.
   void setGcThreads(unsigned N);
   unsigned gcThreads() const { return GcThreads; }
+
+  /// One trace worker's share of a parallel trace: \p Worker in
+  /// [0, width), \p Ring the flight ring of the task running it (null
+  /// when not recording).
+  using TraceJob = std::function<void(unsigned Worker, FlightRing *Ring)>;
+  /// Runs a TraceJob on the threads of the stopped world: worker 0 on the
+  /// calling (pause-owning) thread, others on parked mutators. Returns
+  /// once every worker that started has returned; a worker may never
+  /// start, so the job must not depend on any particular one running.
+  using TraceCrew = std::function<void(unsigned Width, const TraceJob &Job)>;
+
+  /// Attaches the crew (ThreadedRuntime: the pause owner plus the
+  /// mutators parked in its handshake). Without one — the sequential VM,
+  /// the cooperative scheduler — every collection traces serially.
+  void setTraceCrew(TraceCrew C) { Crew = std::move(C); }
 
   /// Declares that mutator threads run concurrently: the write barrier's
   /// remembered-set slow path takes a mutex, and mark-sweep mutator
@@ -199,22 +216,23 @@ protected:
   /// Strategy-specific root tracing into \p Sp.
   virtual void traceRoots(RootSet &Roots, Space &Sp) = 0;
 
-  /// Fans the per-stack trace jobs of one collection out over GcThreads
-  /// workers. Stack indices are seeded round-robin into per-worker
-  /// Chase-Lev deques; an idle worker steals from its peers. Each worker
-  /// owns a sibling Space (Space::makeWorkerSpace), a private Stats and a
-  /// private CensusCounts, all merged back on this thread after the
-  /// workers join (worker 0 runs inline on the collecting thread).
+  /// Fans the per-stack traces of one collection out over K =
+  /// min(GcThreads, stacks) workers run by the crew. Each stack has one
+  /// claim flag; worker W first claims its seeded stacks (I % K == W),
+  /// then any stack still unclaimed (counted in gc.stack_steals). Each
+  /// worker owns a sibling Space (Space::makeWorkerSpace), a private
+  /// Stats and a private CensusCounts, all merged back on this thread
+  /// once the crew returns (worker 0 runs on the collecting thread).
   ///
   /// \p TraceStack traces one suspended stack into the worker's space,
   /// recording counters into the worker's stats; census increments must
   /// go through the worker's CensusCounts (TagFreeTracer::setCensusSink).
   ///
   /// Returns false — caller must run its serial path — when parallelism
-  /// is not engaged: one worker configured, a heap profiler attached
-  /// (its visit stream is inherently serial), fewer than two stacks, or
-  /// a Space that cannot trace in parallel (CheckSpace, so --verify
-  /// re-traces stay serial and exact).
+  /// is not engaged: no crew, one worker configured, a heap profiler
+  /// attached (its visit stream is inherently serial), fewer than two
+  /// stacks, or a Space that cannot trace in parallel (CheckSpace, so
+  /// --verify re-traces stay serial and exact).
   bool traceStacksParallel(
       RootSet &Roots, Space &Sp,
       const std::function<void(TaskStack &Stack, Space &WorkerSp,
@@ -238,6 +256,7 @@ protected:
   Monitor *Mon = nullptr;
   EpochAggregator *Agg = nullptr;
   FlightRecorder *Flight = nullptr;
+  TraceCrew Crew;
   /// Last mid-run publishTelemetryStats() from epochSafepoint(); derived
   /// gauges refresh at most every 10 ms between pauses (see there).
   std::chrono::steady_clock::time_point LastDerivedPublish{};

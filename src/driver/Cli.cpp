@@ -482,14 +482,13 @@ int tfgc::runTfgc(const CliOptions &O) {
     Agg.fold(SafepointKind::Startup);
   }
 
-  // Flight recorder: per-thread rings for the N tasks (one for the
-  // sequential VM), the GC ring, and one ring per parallel trace worker.
+  // Flight recorder: one ring per task (one for the sequential VM) and
+  // the GC ring. Trace workers are tasks and record on their task rings.
   std::unique_ptr<FlightRecorder> Flight;
   if (!O.FlightOutPath.empty()) {
     unsigned NTasks = O.Threads ? O.Threads : 1;
     Flight = std::make_unique<FlightRecorder>(
-        NTasks, std::max(1u, O.Threads),
-        O.FlightBufferKb ? O.FlightBufferKb : 64);
+        NTasks, 0, O.FlightBufferKb ? O.FlightBufferKb : 64);
     std::string FErr;
     if (!Flight->openFile(O.FlightOutPath, FErr)) {
       std::fprintf(stderr, "cannot open '%s': %s\n", O.FlightOutPath.c_str(),
@@ -546,8 +545,7 @@ int tfgc::runTfgc(const CliOptions &O) {
     TO.FuseSuperinstructions = O.Fuse;
     TO.FloatSelfTag = O.FloatSelfTag;
     TO.TailCalls = O.TailCalls;
-    if (O.Threads >= 2)
-      TO.Flight = Flight.get();
+    TO.Flight = Flight.get();
     auto RunTasks = [&](auto &Rt) {
       for (unsigned I = 0; I < O.Threads; ++I)
         Rt.spawnInt(Main, {});

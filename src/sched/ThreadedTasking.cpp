@@ -59,13 +59,11 @@ void ThreadedRuntime::spawnInt(FuncId Entry,
 
 void ThreadedRuntime::requestGc(size_t NeedWords) {
   assert(Coord && "allocation before runAll");
-  // Exactly one arm per handshake cycle owns the request counter, so
-  // task.gc_requests == task.world_stops at the end of a clean run (the
-  // no-lost-handshakes invariant the stress test checks). The shard-0
-  // write is ordered against the collector's by the coordinator mutex:
-  // this thread arms, then parks; the pause only starts after the park.
-  if (Coord->requestStop(NeedWords))
-    Col.stats().add(StatId::TaskGcRequests);
+  // The coordinator counts one arm per handshake cycle; publishTaskStats
+  // turns the count into task.gc_requests at a quiescent point, because
+  // a shard-0 write here would race with another running mutator's
+  // remembered-set counter (Collector::recordRemset).
+  Coord->requestStop(NeedWords);
 }
 
 void ThreadedRuntime::collectWorld(size_t NeedWords, uint64_t StopDelayNs) {
@@ -108,6 +106,7 @@ void ThreadedRuntime::threadMain(size_t Idx) {
       continue;
     if (R == StepResult::BlockedOnGc) {
       Coord->park(
+          (unsigned)Idx,
           [&](const SafepointCoordinator::ParkInfo &PI) {
             T.StopDelayHist.record(PI.DelayNs);
             if (Monitor *M = Col.monitor())
@@ -141,13 +140,15 @@ void ThreadedRuntime::threadMain(size_t Idx) {
     T.Done = true;
     if (T.Flight)
       T.Flight->record(FlightEventType::ThreadExit);
-    Coord->threadFinished(Collect, [&](uint64_t E, uint64_t D) {
-      // This exit completed a rendezvous others are parked in: the
-      // pending collection runs here, on the exiting thread.
-      LastParkerTask = Idx;
-      if (T.Flight)
-        T.Flight->record(FlightEventType::PendingHandoff, (uint32_t)E, D);
-    });
+    Coord->threadFinished(
+        (unsigned)Idx, Collect, [&](uint64_t E, uint64_t D) {
+          // This exit completed a rendezvous others are parked in: the
+          // pending collection runs here, on the exiting thread.
+          LastParkerTask = Idx;
+          if (T.Flight)
+            T.Flight->record(FlightEventType::PendingHandoff, (uint32_t)E,
+                             D);
+        });
     return;
   }
 }
@@ -159,12 +160,20 @@ bool ThreadedRuntime::runAll() {
   Coord = std::make_unique<SafepointCoordinator>((unsigned)Tasks.size());
   if (Opts.Flight)
     Coord->setFlightRing(&Opts.Flight->gcRing());
+  // The pause owner and the mutators parked in its handshake are the
+  // trace workers; each records its begin/end on its own task ring.
+  Col.setTraceCrew([this](unsigned Width, const Collector::TraceJob &Job) {
+    Coord->runOnParked(Width, [&](unsigned W, unsigned Task) {
+      Job(W, Tasks[Task].Flight);
+    });
+  });
   std::vector<std::thread> Threads;
   Threads.reserve(Tasks.size());
   for (size_t I = 0; I < Tasks.size(); ++I)
     Threads.emplace_back([this, I] { threadMain(I); });
   for (std::thread &Th : Threads)
     Th.join();
+  Col.setTraceCrew({});
 
   // The joins are the final safepoint: every shard is quiescent, so the
   // gauges, the telemetry-derived stats and the per-task view can be
@@ -198,10 +207,10 @@ void ThreadedRuntime::publishTaskStats() {
     St.set(Base + ".world_stop_delay_ns_p50", H.percentile(50));
     St.set(Base + ".world_stop_delay_ns_p90", H.percentile(90));
     St.set(Base + ".world_stop_delay_ns_p99", H.percentile(99));
-    // Same histogram under its attribution name: "time to safepoint" is
-    // what straggler hunting asks for (/metrics, tools/tfgc_top.py).
-    St.set(Base + ".time_to_safepoint_ns_p50", H.percentile(50));
-    St.set(Base + ".time_to_safepoint_ns_p99", H.percentile(99));
+  }
+  if (Coord) {
+    St.add(StatId::TaskGcRequests, Coord->arms() - ArmsPublished);
+    ArmsPublished = Coord->arms();
   }
   St.set("sched.handshake_epochs", Coord ? Coord->epoch() : 0);
   if (LastParkerTask != UINT64_MAX)

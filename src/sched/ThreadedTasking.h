@@ -8,7 +8,8 @@
 ///
 ///  * SafepointCoordinator — mutators poll a shared stop flag through the
 ///    VM's unified fuel counter and park at GC points with their stacks
-///    walkable; the last to park runs the collection (sched/Safepoint.h);
+///    walkable; the last to park runs the collection, and the parked
+///    mutators run its parallel trace workers (sched/Safepoint.h);
 ///  * per-thread TLABs — the allocation fast path bumps a private window
 ///    (sched/Tlab.h) refilled with a CAS off the shared nursery cursor,
 ///    so mutators never contend on a lock to allocate;
@@ -50,8 +51,9 @@ public:
   void spawnInt(FuncId Entry, const std::vector<int64_t> &Args);
 
   /// Starts one OS thread per task, joins them all, then publishes the
-  /// end-of-run stats with the world quiescent. Returns false if any
-  /// task failed.
+  /// end-of-run stats with the world quiescent. For the duration, the
+  /// collector's trace crew is the handshake's parked mutators. Returns
+  /// false if any task failed.
   bool runAll();
 
   const std::vector<TaskResult> &results() const { return Results; }
@@ -100,6 +102,8 @@ private:
   /// lock; read with the world quiescent (publishTaskStats). Published as
   /// the sched.last_parker_task gauge so /metrics names the straggler.
   uint64_t LastParkerTask = UINT64_MAX;
+  /// Coordinator arms already added to task.gc_requests.
+  uint64_t ArmsPublished = 0;
 
   void threadMain(size_t Idx);
   /// The collection thunk: runs with every live mutator parked and the
@@ -107,9 +111,10 @@ private:
   /// tasks, retires every TLAB (the collection is about to reuse the
   /// space under them), and collects.
   void collectWorld(size_t NeedWords, uint64_t StopDelayNs);
-  /// task.<i>.mutator_steps / .world_stop_delay_* / .tlab_*; runs with
-  /// the world quiescent — after the final join, and inside each pause
-  /// when an epoch aggregator is attached (live /metrics per-task rows).
+  /// task.<i>.mutator_steps / .world_stop_delay_* / .tlab_* and the
+  /// coordinator's arms as task.gc_requests; runs with the world
+  /// quiescent — after the final join, and inside each pause when an
+  /// epoch aggregator is attached (live /metrics per-task rows).
   void publishTaskStats();
 };
 

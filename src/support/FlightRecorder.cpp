@@ -8,17 +8,13 @@
 
 using namespace tfgc;
 
-FlightRecorder::FlightRecorder(unsigned NumTasks, unsigned NumWorkers,
+FlightRecorder::FlightRecorder(unsigned NumTasks, unsigned,
                                size_t BufferKb)
     : Origin(std::chrono::steady_clock::now()) {
   size_t Cap = (BufferKb ? BufferKb : 1) * 1024 / sizeof(FlightEvent);
   for (unsigned I = 0; I < (NumTasks ? NumTasks : 1); ++I)
     TaskRings.push_back(std::make_unique<FlightRing>(Cap, (uint8_t)I, Origin));
   GcRing = std::make_unique<FlightRing>(Cap, GcTid, Origin);
-  for (unsigned W = 0; W < (NumWorkers ? NumWorkers : 1); ++W)
-    WorkerRings.push_back(
-        std::make_unique<FlightRing>(Cap, (uint8_t)(WorkerTidBase + W),
-                                     Origin));
 }
 
 std::string FlightRecorder::fileHeader() {
@@ -49,8 +45,6 @@ void FlightRecorder::drain() {
   for (auto &R : TaskRings)
     R->drain(Scratch);
   GcRing->drain(Scratch);
-  for (auto &R : WorkerRings)
-    R->drain(Scratch);
   if (Scratch.empty())
     return;
   // One globally ordered chunk. Stable so same-timestamp records keep
@@ -85,9 +79,6 @@ void FlightRecorder::maybeDrain() {
       return drain();
   if (GcRing->pending() * 2 > GcRing->capacity())
     return drain();
-  for (const auto &R : WorkerRings)
-    if (R->pending() * 2 > R->capacity())
-      return drain();
 }
 
 void FlightRecorder::finish() {
@@ -102,8 +93,6 @@ void FlightRecorder::finish() {
 uint64_t FlightRecorder::droppedTotal() const {
   uint64_t D = GcRing->droppedTotal();
   for (const auto &R : TaskRings)
-    D += R->droppedTotal();
-  for (const auto &R : WorkerRings)
     D += R->droppedTotal();
   return D;
 }

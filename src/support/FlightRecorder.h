@@ -5,8 +5,9 @@
 /// fixed-size binary events written into per-thread lock-free SPSC ring
 /// buffers, so the layers that today have no timeline — the safepoint
 /// handshake, TLAB refills, the VM's fuel-counter polls, the parallel
-/// trace workers — leave a causal, per-thread event record that survives
-/// even abnormal exits (the drain path rides the PR 4 artifact flush).
+/// trace workers (parked mutators, on their own task rings) — leave a
+/// causal, per-thread event record that survives even abnormal exits
+/// (the drain path rides the run-end artifact flush).
 ///
 /// Hot-path discipline:
 ///  * disabled: one null-pointer check per instrumentation site;
@@ -15,13 +16,14 @@
 ///
 /// Ring protocol (DESIGN.md "Flight recording"):
 ///  * each ring has exactly one producer — a mutator thread (its task
-///    ring), a GC trace worker (its worker ring), or "whoever holds the
-///    coordinator lock" (the GC ring: arm events and the Telemetry
+///    ring, trace work it runs while parked included), or "whoever owns
+///    the pause" (the GC ring: arm events and the Telemetry
 ///    begin/phase/end records are all serialized by the safepoint mutex,
-///    or by the single thread in sequential mode). A collection adds at
-///    most NumGcPhases + 2 records to the GC ring, and the rings drain at
-///    the end of every pause that left one half full, so a default-sized
-///    GC ring never drops a collection;
+///    or by the single thread in sequential and cooperative mode; the
+///    cooperative scheduler's one OS thread produces every ring). A
+///    collection adds at most NumGcPhases + 2 records to the GC ring,
+///    and the rings drain at the end of every pause that left one half
+///    full, so a default-sized GC ring never drops a collection;
 ///  * WriteIdx is a monotone record count (release store by the producer);
 ///    the slot written is WriteIdx & Mask, so a full ring overwrites the
 ///    oldest record — newest-N semantics, never a torn record, because
@@ -80,7 +82,8 @@ enum class FlightEventType : uint8_t {
                         ///< exclusive ns in that collection.
   GcEnd = 11,           ///< Collection finished. Arg32 = kind, ArgA =
                         ///< pause ns, ArgB = collection seq.
-  TraceWorkerBegin = 12,///< Parallel trace worker started. Arg32 = worker.
+  TraceWorkerBegin = 12,///< Parallel trace worker started, on the ring of
+                        ///< the task running it. Arg32 = worker.
   TraceWorkerEnd = 13,  ///< Worker done. Arg32 = worker, ArgA = steals.
   VmEpoch = 14,         ///< Fuel-counter safepoint poll. ArgA = steps.
   Dropped = 15,         ///< Synthesized at drain: ArgA = records the ring
@@ -194,22 +197,21 @@ private:
 class FlightRecorder {
 public:
   /// The GC ring's tid — handshake arms and Telemetry collection mirrors.
+  /// Task ring i records as tid i.
   static constexpr uint8_t GcTid = 254;
-  /// Parallel trace worker k records as tid WorkerTidBase + k.
-  static constexpr uint8_t WorkerTidBase = 128;
   static constexpr char Magic[9] = "TFGCFLR1";
   static constexpr uint32_t Version = 1;
 
-  FlightRecorder(unsigned NumTasks, unsigned NumWorkers, size_t BufferKb);
+  /// One ring per task plus the GC ring, each \p BufferKb KiB. The second
+  /// argument is unused: trace workers are tasks and record on their task
+  /// rings (it stays for existing three-argument callers).
+  FlightRecorder(unsigned NumTasks, unsigned /*Unused*/, size_t BufferKb);
   ~FlightRecorder() { finish(); }
   FlightRecorder(const FlightRecorder &) = delete;
   FlightRecorder &operator=(const FlightRecorder &) = delete;
 
   FlightRing &taskRing(unsigned I) { return *TaskRings[I]; }
   FlightRing &gcRing() { return *GcRing; }
-  FlightRing &workerRing(unsigned W) { return *WorkerRings[W]; }
-  unsigned numTasks() const { return (unsigned)TaskRings.size(); }
-  unsigned numWorkers() const { return (unsigned)WorkerRings.size(); }
 
   /// Opens the output file and writes the header. Returns false with
   /// \p Err set on I/O failure.
@@ -252,7 +254,6 @@ private:
   /// cached by producers.
   std::vector<std::unique_ptr<FlightRing>> TaskRings;
   std::unique_ptr<FlightRing> GcRing;
-  std::vector<std::unique_ptr<FlightRing>> WorkerRings;
   std::FILE *File = nullptr;
   std::vector<FlightEvent> Scratch;
   std::function<void(const std::string &)> ChunkSink;

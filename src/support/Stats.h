@@ -219,9 +219,9 @@ public:
     }
   }
 
-  /// Labels the calling thread for diagnostics ("mutator-3",
-  /// "gc-worker-1"); the dynamic-name guard failure reports the label and
-  /// thread id alongside the offending counter. Defaults to "main".
+  /// Labels the calling thread for diagnostics ("mutator-3"); the
+  /// dynamic-name guard failure reports the label and thread id
+  /// alongside the offending counter. Defaults to "main".
   static void setThreadLabel(const char *Label);
   static const char *threadLabel();
 

@@ -1,6 +1,7 @@
 //===- tasking/Tasking.cpp ------------------------------------------------===//
 
 #include "tasking/Tasking.h"
+#include "support/FlightRecorder.h"
 
 #include <cassert>
 
@@ -30,6 +31,8 @@ void TaskingRuntime::spawnInt(FuncId Entry, const std::vector<int64_t> &Args) {
   VO.TailCalls = Opts.TailCalls;
   VO.Decoded = &Decoded;
   Task T;
+  if (Opts.Flight)
+    T.Flight = VO.Flight = &Opts.Flight->taskRing(VO.TaskIndex);
   T.Machine = std::make_unique<Vm>(Prog, Img, Types, Col, VO);
   std::vector<Word> Words;
   for (int64_t A : Args)
@@ -45,6 +48,9 @@ void TaskingRuntime::requestGc(size_t Need) {
     StepsSinceRequest = 0;
     RequestTime = std::chrono::steady_clock::now();
     Col.stats().add(StatId::TaskGcRequests);
+    if (Opts.Flight)
+      Opts.Flight->gcRing().record(FlightEventType::SafepointArm,
+                                   (uint32_t)Epoch, Need);
   }
   if (Need > NeedWords)
     NeedWords = Need;
@@ -55,24 +61,41 @@ void TaskingRuntime::collectWorld() {
   for (Task &T : Tasks)
     if (!T.Done)
       Roots.Stacks.push_back(&T.Machine->mutableStack());
-  Col.telemetry().recordWorldStopDelay(
-      (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - RequestTime)
-          .count());
+  Col.telemetry().recordWorldStopDelay(sinceRequestNs());
   Col.collect(Roots, NeedWords ? NeedWords : 1);
   Col.stats().add(StatId::TaskWorldStops);
   Col.stats().add(StatId::TaskStepsToWorldStopTotal, StepsSinceRequest);
   Col.stats().max(StatId::TaskStepsToWorldStopMax, StepsSinceRequest);
   GcRequested = false;
   NeedWords = 0;
-  for (Task &T : Tasks)
+  for (Task &T : Tasks) {
+    if (T.BlockedForGc && T.Flight)
+      T.Flight->record(FlightEventType::ThreadResume, (uint32_t)Epoch);
     T.BlockedForGc = false;
+  }
+  ++Epoch;
+}
+
+uint64_t TaskingRuntime::sinceRequestNs() const {
+  return (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - RequestTime)
+      .count();
+}
+
+bool TaskingRuntime::othersSuspended(size_t Idx) const {
+  for (size_t I = 0; I < Tasks.size(); ++I)
+    if (I != Idx && !Tasks[I].Done && !Tasks[I].BlockedForGc)
+      return false;
+  return true;
 }
 
 bool TaskingRuntime::runAll() {
   Results.assign(Tasks.size(), TaskResult{});
   uint64_t TotalSteps = 0;
   size_t Live = Tasks.size();
+  for (Task &T : Tasks)
+    if (T.Flight)
+      T.Flight->record(FlightEventType::ThreadStart);
 
   while (Live > 0) {
     bool AnyProgress = false;
@@ -109,13 +132,13 @@ bool TaskingRuntime::runAll() {
         // This task just reached its safe point: its share of the
         // world-stop latency is the time since the request (zero for
         // the requesting task itself).
-        uint64_t DelayNs =
-            (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - RequestTime)
-                .count();
+        uint64_t DelayNs = sinceRequestNs();
         T.StopDelayHist.record(DelayNs);
         if (Monitor *M = Col.monitor())
           M->recordTaskStopDelay((uint32_t)Idx, DelayNs);
+        if (T.Flight)
+          T.Flight->record(FlightEventType::ThreadPark, (uint32_t)Epoch,
+                           DelayNs, othersSuspended(Idx) ? 1 : 0);
         AnyProgress = true;
       } else {
         // Done or Failed.
@@ -129,6 +152,14 @@ bool TaskingRuntime::runAll() {
           TR.Value = T.Machine->renderResult();
         } else {
           TR.Error = T.Machine->error();
+        }
+        if (T.Flight) {
+          T.Flight->record(FlightEventType::ThreadExit);
+          // This exit completed a pending rendezvous: the collection
+          // runs on the others' behalf, as an exiting thread's does.
+          if (GcRequested && Live > 0 && othersSuspended(Idx))
+            T.Flight->record(FlightEventType::PendingHandoff,
+                             (uint32_t)Epoch, sinceRequestNs());
         }
       }
     }

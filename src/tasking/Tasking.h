@@ -32,6 +32,7 @@
 namespace tfgc {
 
 class FlightRecorder;
+class FlightRing;
 
 struct TaskingOptions {
   SuspendChecks Policy = SuspendChecks::AtEveryCall;
@@ -46,9 +47,10 @@ struct TaskingOptions {
   bool FuseSuperinstructions = true;
   bool FloatSelfTag = true;
   bool TailCalls = true;
-  /// Flight recorder (not owned; may be null). Only the OS-thread runtime
-  /// wires per-task rings from it; the cooperative scheduler ignores it
-  /// (its interleavings are deterministic and fully covered by --gc-log).
+  /// Flight recorder (not owned; may be null). Task i records on ring i:
+  /// start/exit, GC requests, parks and resumes, plus the arm on the GC
+  /// ring — the same events under either runtime. The cooperative
+  /// scheduler's one OS thread is the only producer of every ring.
   FlightRecorder *Flight = nullptr;
 };
 
@@ -94,6 +96,8 @@ private:
     /// histogram only sees the request-to-world-stop delay, i.e. the
     /// slowest task; this one attributes the wait per task).
     LogHistogram StopDelayHist;
+    /// This task's flight ring (null when not recording).
+    FlightRing *Flight = nullptr;
   };
   std::vector<Task> Tasks;
   std::vector<TaskResult> Results;
@@ -102,12 +106,19 @@ private:
   DecodedProgram Decoded;
   bool GcRequested = false;
   size_t NeedWords = 0;
+  /// Completed world stops: the handshake epoch of flight records.
+  uint64_t Epoch = 0;
   uint64_t StepsSinceRequest = 0;
   /// When the pending GC was first requested; the request-to-world-stop
   /// delay is recorded in the collector's telemetry at collectWorld().
   std::chrono::steady_clock::time_point RequestTime;
 
   void collectWorld();
+  /// Request-to-now latency of the pending collection.
+  uint64_t sinceRequestNs() const;
+  /// Every live task other than \p Idx is suspended for the pending
+  /// collection (so \p Idx completes the rendezvous).
+  bool othersSuspended(size_t Idx) const;
   /// Publishes task.<i>.mutator_steps and task.<i>.world_stop_delay_*
   /// into the stats registry (the per-task view of --stats-json).
   void publishTaskStats();

@@ -6,8 +6,10 @@
 /// algorithm under --verify, the exit-3 abnormal path still flushing a
 /// decodable recording, in-process round-trip through FlightRecorder's
 /// file writer, a deep-stack run whose every collection survives the
-/// default GC ring, and a 4-thread end-to-end run whose decoded timeline
-/// satisfies the handshake pairing invariants flight_report.py checks.
+/// default GC ring, a 4-thread end-to-end run whose decoded timeline
+/// satisfies the handshake pairing invariants flight_report.py checks
+/// and whose trace workers are parked tasks, and a --threads=1 run that
+/// records the same handshake events.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -134,14 +136,15 @@ TEST(FlightRecorder, FileRoundTripAndChunkSink) {
   std::remove(Path.c_str());
   std::string ChunkBody;
   {
-    FlightRecorder F(/*NumTasks=*/2, /*NumWorkers=*/1, /*BufferKb=*/1);
+    FlightRecorder F(/*NumTasks=*/2, /*Unused=*/0, /*BufferKb=*/1);
     std::string Err;
     ASSERT_TRUE(F.openFile(Path, Err)) << Err;
     F.setChunkSink([&](const std::string &C) { ChunkBody = C; });
     F.taskRing(0).record(FlightEventType::ThreadStart);
     F.taskRing(1).record(FlightEventType::ThreadStart);
     F.gcRing().record(FlightEventType::SafepointArm, 1, 100);
-    F.workerRing(0).record(FlightEventType::TraceWorkerBegin, 0);
+    // A trace worker records on the ring of the task running it.
+    F.taskRing(1).record(FlightEventType::TraceWorkerBegin, 0);
     F.finish();
     EXPECT_EQ(F.recordsFiled(), 4u);
     EXPECT_EQ(F.droppedTotal(), 0u);
@@ -156,8 +159,7 @@ TEST(FlightRecorder, FileRoundTripAndChunkSink) {
       EXPECT_GE(Events[I].TimeNs, Events[I - 1].TimeNs);
     }
   }
-  EXPECT_EQ(Tids, (std::multiset<uint8_t>{0, 1, FlightRecorder::WorkerTidBase,
-                                          FlightRecorder::GcTid}));
+  EXPECT_EQ(Tids, (std::multiset<uint8_t>{0, 1, 1, FlightRecorder::GcTid}));
   // The chunk sink saw the same records as a standalone document.
   ASSERT_EQ(ChunkBody.size(), 24 + 4 * sizeof(FlightEvent));
   EXPECT_EQ(ChunkBody.compare(0, 8, "TFGCFLR1"), 0);
@@ -429,6 +431,110 @@ TEST(FlightCli, ThreadedRunSatisfiesHandshakePairing) {
               countType(Events, FlightEventType::TraceWorkerEnd));
   }
   std::remove(Flight.c_str());
+}
+
+TEST(FlightCli, TraceWorkersAreParkedTasks) {
+  // The parked mutators are the trace workers: every TraceWorkerBegin/End
+  // sits on a task ring (tid < 4), inside that task's park->resume window
+  // of the collecting epoch, or on the epoch's pause owner.
+  std::string Flight = tmpPath("workers.bin");
+  std::remove(Flight.c_str());
+  CliOptions O;
+  ASSERT_TRUE(parseOk({"--threads=4", "--algo=generational", "--heap=65536",
+                       "--nursery-bytes=4096", "--flight-out=" + Flight,
+                       "-e", wl::generationalChurn(60, 8, 80)},
+                      O));
+  EXPECT_EQ(runTfgc(O), 0);
+
+  std::vector<FlightEvent> Events = decodeFlightFile(Flight);
+  ASSERT_EQ(countType(Events, FlightEventType::Dropped), 0u);
+  EXPECT_GT(countType(Events, FlightEventType::TraceWorkerBegin), 0u);
+  std::map<uint8_t, uint32_t> Parked; // tid -> epoch parked in
+  uint32_t Epoch = UINT32_MAX;
+  int Owner = -1;
+  for (size_t I = 0; I < Events.size(); ++I) {
+    const FlightEvent &E = Events[I];
+    switch ((FlightEventType)E.Type) {
+    case FlightEventType::SafepointArm:
+      Epoch = E.Arg32;
+      Owner = -1;
+      break;
+    case FlightEventType::ThreadPark:
+      Parked[E.Tid] = E.Arg32;
+      if (E.ArgB)
+        Owner = E.Tid;
+      break;
+    case FlightEventType::PendingHandoff:
+      Owner = E.Tid;
+      break;
+    case FlightEventType::ThreadResume:
+      Parked.erase(E.Tid);
+      break;
+    case FlightEventType::TraceWorkerBegin:
+    case FlightEventType::TraceWorkerEnd: {
+      EXPECT_LT(E.Tid, 4u) << "record " << I;
+      auto It = Parked.find(E.Tid);
+      bool InWindow = It != Parked.end() && It->second == Epoch;
+      EXPECT_TRUE(InWindow || E.Tid == Owner)
+          << "record " << I << ": worker " << E.Arg32 << " on task "
+          << (int)E.Tid << " outside epoch " << Epoch;
+      break;
+    }
+    default:
+      break;
+    }
+  }
+  std::remove(Flight.c_str());
+}
+
+TEST(FlightCli, CooperativeRunRecordsHandshakes) {
+  // --threads=1 records the same handshake events as the threaded
+  // runtime, so its recording passes the same checks: one park per
+  // stats-reported stop delay, and per epoch one arm, parks == resumes,
+  // exactly one pause owner.
+  std::string Flight = tmpPath("coop.bin");
+  std::string StatsJson = tmpPath("coop.json");
+  std::remove(Flight.c_str());
+  std::remove(StatsJson.c_str());
+  CliOptions O;
+  ASSERT_TRUE(parseOk({"--threads=1", "--algo=generational", "--heap=65536",
+                       "--nursery-bytes=4096", "--flight-out=" + Flight,
+                       "--stats-json=" + StatsJson, "-e",
+                       wl::generationalChurn(60, 8, 80)},
+                      O));
+  EXPECT_EQ(runTfgc(O), 0);
+
+  std::vector<FlightEvent> Events = decodeFlightFile(Flight);
+  ASSERT_EQ(countType(Events, FlightEventType::Dropped), 0u);
+  EXPECT_EQ(countType(Events, FlightEventType::ThreadStart), 1u);
+  EXPECT_EQ(countType(Events, FlightEventType::ThreadExit), 1u);
+  size_t Parks = countType(Events, FlightEventType::ThreadPark);
+  EXPECT_GT(Parks, 0u);
+  EXPECT_EQ(Parks, jsonCounters(StatsJson)["task.0.world_stop_delays"]);
+  std::map<uint32_t, int> Arms, ParksBy, Resumes, Owners;
+  for (const FlightEvent &E : Events) {
+    if (E.Type == (uint8_t)FlightEventType::SafepointArm) {
+      EXPECT_EQ(E.Tid, FlightRecorder::GcTid);
+      ++Arms[E.Arg32];
+    } else if (E.Type == (uint8_t)FlightEventType::ThreadPark) {
+      EXPECT_EQ(E.Tid, 0u);
+      ++ParksBy[E.Arg32];
+      if (E.ArgB)
+        ++Owners[E.Arg32];
+    } else if (E.Type == (uint8_t)FlightEventType::ThreadResume) {
+      ++Resumes[E.Arg32];
+    } else if (E.Type == (uint8_t)FlightEventType::PendingHandoff) {
+      ++Owners[E.Arg32];
+    }
+  }
+  EXPECT_EQ(ParksBy, Resumes);
+  EXPECT_EQ(Arms.size(), ParksBy.size());
+  for (const auto &[Epoch, N] : Arms) {
+    EXPECT_EQ(N, 1) << "epoch " << Epoch;
+    EXPECT_EQ(Owners[Epoch], 1) << "epoch " << Epoch;
+  }
+  std::remove(Flight.c_str());
+  std::remove(StatsJson.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,7 +1,8 @@
 //===- tests/threads_test.cpp - OS-thread tasking + safepoints -----------===//
 ///
-/// Exercises the sched/ subsystem end to end: the Chase-Lev deque and
-/// TLAB primitives in isolation, then the ThreadedRuntime against the
+/// Exercises the sched/ subsystem end to end: the TLAB primitive and the
+/// coordinator's parked-thread job handoff in isolation, then the
+/// ThreadedRuntime against the
 /// cooperative scheduler (the logical-semantics reference) across every
 /// strategy x algorithm, and finally a full-rate handshake stress with a
 /// live /metrics scraper hammering the introspection server while four
@@ -9,14 +10,15 @@
 
 #include "TestUtil.h"
 #include "sched/ThreadedTasking.h"
-#include "sched/WorkSteal.h"
 #include "support/Epoch.h"
 #include "support/Introspect.h"
 #include "workloads/Programs.h"
 
 #include <arpa/inet.h>
+#include <array>
 #include <atomic>
 #include <netinet/in.h>
+#include <set>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
@@ -26,84 +28,6 @@ using namespace tfgc::test;
 namespace wl = tfgc::workloads;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// WorkStealDeque
-//===----------------------------------------------------------------------===//
-
-TEST(WorkStealDeque, OwnerPushPopIsLifo) {
-  WorkStealDeque<uint32_t> D;
-  for (uint32_t I = 0; I < 10; ++I)
-    D.push(I);
-  uint32_t V;
-  for (uint32_t I = 10; I-- > 0;) {
-    ASSERT_TRUE(D.pop(V));
-    EXPECT_EQ(V, I);
-  }
-  EXPECT_FALSE(D.pop(V));
-  EXPECT_TRUE(D.emptyApprox());
-}
-
-TEST(WorkStealDeque, GrowthPreservesElements) {
-  // Push past the initial ring capacity so grow() copies live elements
-  // into a doubled ring mid-stream.
-  WorkStealDeque<uint32_t> D(8);
-  const uint32_t N = 1000;
-  for (uint32_t I = 0; I < N; ++I)
-    D.push(I);
-  std::vector<bool> Seen(N, false);
-  uint32_t V;
-  while (D.pop(V)) {
-    ASSERT_LT(V, N);
-    EXPECT_FALSE(Seen[V]) << "duplicate " << V;
-    Seen[V] = true;
-  }
-  for (uint32_t I = 0; I < N; ++I)
-    EXPECT_TRUE(Seen[I]) << "lost " << I;
-}
-
-TEST(WorkStealDeque, ConcurrentStealsLoseNothingDuplicateNothing) {
-  // One owner interleaves pushes with pops while three thieves steal from
-  // the top. Every element must be consumed by exactly one thread.
-  constexpr uint32_t N = 50000;
-  constexpr int Thieves = 3;
-  WorkStealDeque<uint32_t> D(16);
-  std::vector<std::atomic<uint32_t>> Claims(N);
-  for (auto &C : Claims)
-    C.store(0, std::memory_order_relaxed);
-  std::atomic<bool> OwnerDone{false};
-
-  auto Claim = [&](uint32_t V) {
-    ASSERT_LT(V, N);
-    Claims[V].fetch_add(1, std::memory_order_relaxed);
-  };
-
-  std::vector<std::thread> Ts;
-  for (int T = 0; T < Thieves; ++T)
-    Ts.emplace_back([&] {
-      uint32_t V;
-      while (!OwnerDone.load(std::memory_order_acquire) || !D.emptyApprox())
-        if (D.steal(V))
-          Claim(V);
-    });
-
-  // Owner: push in bursts, pop some of its own so the last-element CAS
-  // race (pop vs steal at Tp == B) gets exercised constantly.
-  uint32_t V;
-  for (uint32_t I = 0; I < N; ++I) {
-    D.push(I);
-    if ((I & 7) == 0 && D.pop(V))
-      Claim(V);
-  }
-  while (D.pop(V))
-    Claim(V);
-  OwnerDone.store(true, std::memory_order_release);
-  for (auto &T : Ts)
-    T.join();
-
-  for (uint32_t I = 0; I < N; ++I)
-    EXPECT_EQ(Claims[I].load(), 1u) << "element " << I;
-}
 
 //===----------------------------------------------------------------------===//
 // Tlab
@@ -125,6 +49,53 @@ TEST(Tlab, BumpAccountsAndRefusesOverflow) {
   EXPECT_EQ(T.Top, nullptr);
   EXPECT_EQ(T.End, nullptr);
   EXPECT_EQ(T.bump(1), nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// SafepointCoordinator: the parked mutators run the pause's trace job
+//===----------------------------------------------------------------------===//
+
+TEST(Safepoint, ParkedThreadsRunPostedJobWorkers) {
+  // Four threads rendezvous; the last parker posts a 4-wide job whose
+  // worker 0 waits until workers 1..3 have started. Those can only start
+  // on the three parked threads, so each worker runs on a distinct task
+  // and worker 0 runs on the pause owner's.
+  constexpr unsigned N = 4;
+  SafepointCoordinator Coord(N);
+  std::atomic<unsigned> Started{0};
+  std::array<std::atomic<int>, N> TaskOf;
+  for (auto &T : TaskOf)
+    T.store(-1);
+  std::atomic<int> Owner{-1};
+  auto Collect = [&](size_t, uint64_t) {
+    Coord.runOnParked(N, [&](unsigned W, unsigned Task) {
+      TaskOf[W].store((int)Task);
+      Started.fetch_add(1);
+      if (W == 0)
+        while (Started.load() < N)
+          std::this_thread::yield();
+    });
+  };
+  Coord.requestStop(1);
+  std::vector<std::thread> Ts;
+  for (unsigned I = 0; I < N; ++I)
+    Ts.emplace_back([&, I] {
+      Coord.park(
+          I,
+          [&](const SafepointCoordinator::ParkInfo &PI) {
+            if (PI.LastParker)
+              Owner.store((int)I);
+          },
+          Collect);
+    });
+  for (std::thread &T : Ts)
+    T.join();
+  EXPECT_EQ(Coord.epoch(), 1u);
+  EXPECT_EQ(TaskOf[0].load(), Owner.load());
+  std::set<int> Tasks;
+  for (auto &T : TaskOf)
+    Tasks.insert(T.load());
+  EXPECT_EQ(Tasks, (std::set<int>{0, 1, 2, 3}));
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,8 +7,9 @@ size, u64 reserved) followed by 32-byte little-endian records:
     u64 time_ns   since the recorder's construction (one clock for all
                   rings, so the whole file is one global timeline)
     u8  type      FlightEventType (support/FlightRecorder.h)
-    u8  tid       0..N-1 mutator tasks, 128+k trace worker k, 254 the GC
-                  ring (handshake arms + collection begin/phases/end)
+    u8  tid       0..N-1 tasks (a trace worker records on the task that
+                  runs it), 254 the GC ring (handshake arms + collection
+                  begin/phases/end)
     u16 reserved
     u32 arg32     e.g. the handshake epoch for park/resume/arm
     u64 arg_a     e.g. the request-to-park delay in ns
@@ -23,7 +24,8 @@ refill, GC request: the "what was it doing" column).
 Modes:
     flight_report.py FILE                 attribution table + summary
     flight_report.py --check FILE         invariant check (monotone
-                                          timestamps, handshake pairing);
+                                          timestamps, handshake pairing,
+                                          trace workers are parked tasks);
                                           exit 1 on violation
     flight_report.py --stats STATS FILE   cross-check against the run's
                                           --stats-json; exit 1 on mismatch
@@ -49,7 +51,6 @@ RECORD_BYTES = 32
 RECORD_FMT = "<QBBHIQQ"
 
 GC_TID = 254
-WORKER_TID_BASE = 128
 
 TYPE_NAMES = {
     1: "thread_start",
@@ -93,11 +94,7 @@ class Event:
         return TYPE_NAMES.get(self.type, f"?{self.type}")
 
     def tid_name(self):
-        if self.tid == GC_TID:
-            return "gc"
-        if self.tid >= WORKER_TID_BASE:
-            return f"worker-{self.tid - WORKER_TID_BASE}"
-        return f"task-{self.tid}"
+        return "gc" if self.tid == GC_TID else f"task-{self.tid}"
 
 
 def load(path):
@@ -177,6 +174,36 @@ def check(events):
     for ep in parks:
         if ep not in arms:
             errs.append(f"epoch {ep}: parks without an arm event")
+    return errs + check_trace_workers(events)
+
+
+def check_trace_workers(events):
+    """Trace workers are tasks: each trace_worker_begin/end sits on a task
+    tid below N (the tasks that started), inside that task's park->resume
+    window of the collecting epoch, or on that epoch's pause owner."""
+    errs = []
+    n_tasks = len({e.tid for e in events if e.type == T_START})
+    parked = {}  # tid -> epoch it is parked in
+    epoch = owner = None
+    for i, e in enumerate(events):
+        if e.type == T_ARM:
+            epoch, owner = e.arg32, None
+        elif e.type == T_PARK:
+            parked[e.tid] = e.arg32
+            if e.arg_b:
+                owner = e.tid
+        elif e.type == T_HANDOFF:
+            owner = e.tid
+        elif e.type == T_RESUME:
+            parked.pop(e.tid, None)
+        elif e.type in (T_WBEGIN, T_WEND):
+            if e.tid >= n_tasks:
+                errs.append(f"record {i}: {e.type_name()} on tid {e.tid}, "
+                            f"want a task tid below {n_tasks}")
+            elif parked.get(e.tid) != epoch and e.tid != owner:
+                errs.append(f"record {i}: {e.type_name()} on task "
+                            f"{e.tid}, which is neither parked in epoch "
+                            f"{epoch} nor its pause owner")
     return errs
 
 
@@ -330,8 +357,7 @@ def cross_check_stats(events, stats_path):
 
     spawned = counters.get("task.spawned", 0)
     if spawned >= 2:
-        tracks = sorted({e.tid + 1 for e in events
-                         if e.tid < WORKER_TID_BASE})
+        tracks = sorted({e.tid + 1 for e in events if e.tid != GC_TID})
         if tracks != list(range(1, spawned + 1)):
             errs.append(f"task tracks {tracks}, want 1..{spawned} "
                         f"(task.spawned={spawned})")

@@ -137,7 +137,7 @@ def frame(url, cur, label, prev, dt):
             row += f"  tlab {fmt_bytes(words * 8)}"
             refills = cur.get(base + "tlab_refills", 0)
             row += f" ({refills} refills)"
-        tts = cur.get(base + "time_to_safepoint_ns_p99")
+        tts = cur.get(base + "world_stop_delay_ns_p99")
         if tts is not None:
             row += f"  tts p99 {fmt_ns(tts)}"
         if last_parker is not None and str(last_parker) == idx:
