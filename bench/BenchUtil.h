@@ -11,11 +11,13 @@
 #define TFGC_BENCH_BENCHUTIL_H
 
 #include "driver/Compiler.h"
+#include "support/BuildInfo.h"
 #include "workloads/Programs.h"
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -111,7 +113,16 @@ public:
     std::string TimingsDoc = Timings.str();
     if (TimingsDoc.empty())
       TimingsDoc = "null"; // Bench with no registered timings.
+    // Provenance: which tfgc build produced the numbers (google-benchmark's
+    // context.library_build_type describes the benchmark library, not
+    // tfgc) and how loaded the host was, since timings depend on both.
+    const BuildInfo &BI = buildInfo();
+    double Load = -1;
+    getloadavg(&Load, 1);
     Out << "{\n  \"bench\": \"" << BenchName << "\",\n  \"schema\": 1,\n"
+        << "  \"build\": {\"git_sha\": \"" << BI.GitSha
+        << "\", \"build_type\": \"" << BI.BuildType << "\", \"sanitizer\": \""
+        << BI.Sanitizer << "\"},\n  \"load_avg_1m\": " << Load << ",\n"
         << "  \"table_runs\": [\n";
     for (size_t I = 0; I < Rows.size(); ++I)
       Out << Rows[I] << (I + 1 < Rows.size() ? ",\n" : "\n");

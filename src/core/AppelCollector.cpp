@@ -22,11 +22,8 @@ void AppelCollector::traceRemset(Space &Sp) {
   // static type, sharing the collection's closure arena.
   TagFreeTracer Tr(Prog, Img, Eng, Sp, St, TraceMethod::Appel, nullptr,
                    nullptr, AM, GlogerDummies, &Tel, Prof);
-  TgEnv Env;
-  for (const RemsetEntry &E : remset()) {
-    St.add(StatId::GcSlotsTraced);
-    *E.Slot = Tr.traceTg(*E.Slot, Eng.eval(E.Ty, Env));
-  }
+  for (const RemsetEntry &E : remset())
+    Tr.traceSlot(E.Slot, E.Ty);
 }
 
 std::vector<const TypeGc *>

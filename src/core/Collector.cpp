@@ -55,10 +55,17 @@ Word *Collector::tryAllocatePayload(size_t PayloadWords, ObjKind Kind,
     // Threaded bump-heap path: thread-local bump, CAS refill on miss.
     P = T->bump(Total);
     if (!P) {
+      // Refill size: each running mutator's even share of the bump space,
+      // so one thread's window never takes a small nursery whole; capped
+      // at Tlab::ChunkWords and floored at the request.
+      size_t SpaceWords = Copying ? Copying->capacityBytes() / sizeof(Word)
+                                  : Gen->nurseryCapacityWords();
+      unsigned N = MutatorThreads.load(std::memory_order_relaxed);
+      size_t Chunk = std::max(
+          Total, std::min(Tlab::ChunkWords, SpaceWords / std::max(N, 1u)));
       Word *Top, *End;
-      bool Ok = Copying
-                    ? Copying->refillTlab(Total, Tlab::ChunkWords, Top, End)
-                    : Gen->refillTlab(Total, Tlab::ChunkWords, Top, End);
+      bool Ok = Copying ? Copying->refillTlab(Total, Chunk, Top, End)
+                        : Gen->refillTlab(Total, Chunk, Top, End);
       if (!Ok)
         return nullptr;
       T->Top = Top;
@@ -69,7 +76,7 @@ Word *Collector::tryAllocatePayload(size_t PayloadWords, ObjKind Kind,
                           (uint64_t)(End - Top) * sizeof(Word), T->Refills);
       P = T->bump(Total);
     }
-  } else if (Ms && ParallelMutators) {
+  } else if (Ms && MutatorThreads.load(std::memory_order_relaxed)) {
     // Mark-sweep has free lists, not a bump cursor: serialize.
     std::lock_guard<std::mutex> Lock(MutatorMutex);
     P = Ms->tryAllocate(Total);
@@ -295,7 +302,7 @@ void Collector::recordRemset(Word *Slot, Type *Ty) {
   // Concurrent mutators race here (the fast-path filters in writeBarrier
   // are read-only); cooperative runs never contend.
   std::unique_lock<std::mutex> Lock(MutatorMutex, std::defer_lock);
-  if (ParallelMutators)
+  if (MutatorThreads.load(std::memory_order_relaxed))
     Lock.lock();
   if (Model != ValueModel::Tagged && (!Ty || !isGroundType(Ty))) {
     // Without headers a slot holding a non-ground-typed value cannot be

@@ -29,6 +29,7 @@
 #include "support/Stats.h"
 #include "support/Telemetry.h"
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -152,11 +153,17 @@ public:
   /// the cooperative scheduler — every collection traces serially.
   void setTraceCrew(TraceCrew C) { Crew = std::move(C); }
 
-  /// Declares that mutator threads run concurrently: the write barrier's
-  /// remembered-set slow path takes a mutex, and mark-sweep mutator
-  /// allocation serializes. No-op cost when false (the default).
-  void setParallelMutators(bool On) { ParallelMutators = On; }
-  bool parallelMutators() const { return ParallelMutators; }
+  /// Declares how many mutator threads run concurrently (ThreadedRuntime:
+  /// its unfinished tasks). While any do, the write barrier's
+  /// remembered-set slow path takes a mutex and mark-sweep mutator
+  /// allocation serializes; the count also sizes TLAB refills. No-op cost
+  /// at 0 (the default).
+  void setMutatorThreads(unsigned N) {
+    MutatorThreads.store(N, std::memory_order_relaxed);
+  }
+  void mutatorThreadFinished() {
+    MutatorThreads.fetch_sub(1, std::memory_order_relaxed);
+  }
 
   /// Collects, growing the heap as needed until \p NeedPayloadWords can be
   /// allocated.
@@ -251,7 +258,7 @@ protected:
   Stats &St;
   Telemetry Tel;
   unsigned GcThreads = 1;
-  bool ParallelMutators = false;
+  std::atomic<unsigned> MutatorThreads{0};
   HeapProfiler *Prof = nullptr;
   Monitor *Mon = nullptr;
   EpochAggregator *Agg = nullptr;

@@ -38,11 +38,8 @@ void GoldbergCollector::traceRemset(Space &Sp) {
   // after traceRoots, and must share its closure arena.
   TagFreeTracer Tr(Prog, Img, Eng, Sp, St, Method, CM, IM, nullptr,
                    GlogerDummies, &Tel, Prof);
-  TgEnv Env; // Ground types have no type parameters to bind.
-  for (const RemsetEntry &E : remset()) {
-    St.add(StatId::GcSlotsTraced);
-    *E.Slot = Tr.traceTg(*E.Slot, Eng.eval(E.Ty, Env));
-  }
+  for (const RemsetEntry &E : remset())
+    Tr.traceSlot(E.Slot, E.Ty);
 }
 
 void GoldbergCollector::traceOneStack(TaskStack &Stack, TagFreeTracer &Tr,

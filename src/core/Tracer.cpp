@@ -3,120 +3,72 @@
 #include "core/Tracer.h"
 
 #include <cassert>
+#include <ranges>
 
 using namespace tfgc;
 
-Word TagFreeTracer::traceCompiled(Word V, RoutineId R) {
-  Word Result = V;
-  Word *Patch = &Result;
-  // Heap-graph bookkeeping for the tail-iteration loop: once Patch is
-  // redirected into an object's payload, (PatchObj, PatchField) name the
-  // slot it points at, so the deferred `*Patch = NewRef` writes can be
-  // mirrored as graph edges. 0 = Patch still aims at the caller's slot
-  // (a frame root or a field whose edge the caller records).
-  Word PatchObj = 0;
-  uint32_t PatchField = 0;
-  for (;;) {
-    const TypeRoutine &TR = CM->routine(R);
-    switch (TR.F) {
-    case TypeRoutine::Form::Leaf:
-      *Patch = V; // Non-reference: no edge.
-      return Result;
-    case TypeRoutine::Form::FunValue:
-      *Patch = traceClosureValue(V, nullptr, TR.FunStaticTy);
-      if (EdgeRec)
-        edge(PatchObj, PatchField, *Patch);
-      return Result;
-    case TypeRoutine::Form::Record:
-    case TypeRoutine::Form::RefCell: {
-      if (V == 0) {
-        *Patch = 0;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (EdgeRec)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      NewRef = Sp.visitNew(V, TR.PayloadWords);
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, TR.PayloadWords);
-      visit(V, NewRef,
-            TR.F == TypeRoutine::Form::RefCell ? CensusKind::Ref
-                                               : CensusKind::Tuple,
-            TR.PayloadWords);
-      *Patch = NewRef;
-      if (EdgeRec)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      for (const FieldAction &A : TR.Fields) {
-        St.add(StatId::GcCompiledActions);
-        Pl[A.Offset] = traceCompiled(Pl[A.Offset], A.Routine);
-        if (EdgeRec)
-          edge(NewRef, A.Offset, Pl[A.Offset]);
-      }
-      return Result;
-    }
-    case TypeRoutine::Form::DataSwitch: {
-      if (V < ImmediateCtorLimit) { // Covers nullary ctors and null.
-        *Patch = V;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (EdgeRec)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      Word Disc = *reinterpret_cast<const Word *>(V);
-      assert(Disc < TR.CtorSizes.size() && "corrupt discriminant");
-      NewRef = Sp.visitNew(V, TR.CtorSizes[Disc]);
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, TR.CtorSizes[Disc]);
-      visit(V, NewRef, CensusKind::Data, TR.CtorSizes[Disc]);
-      *Patch = NewRef;
-      if (EdgeRec)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      const std::vector<FieldAction> &Acts = TR.CtorFields[Disc];
-      size_t N = Acts.size();
-      for (size_t I = 0; I + 1 < N; ++I) {
-        St.add(StatId::GcCompiledActions);
-        Pl[Acts[I].Offset] = traceCompiled(Pl[Acts[I].Offset], Acts[I].Routine);
-        if (EdgeRec)
-          edge(NewRef, Acts[I].Offset, Pl[Acts[I].Offset]);
-      }
-      if (N != 0) {
-        const FieldAction &Last = Acts[N - 1];
-        St.add(StatId::GcCompiledActions);
-        if (Last.Routine == R) {
-          // Iterate on the tail field (cdr of a list) instead of
-          // recursing.
-          V = Pl[Last.Offset];
-          Patch = &Pl[Last.Offset];
-          PatchObj = NewRef;
-          PatchField = Last.Offset;
-          continue;
-        }
-        Pl[Last.Offset] = traceCompiled(Pl[Last.Offset], Last.Routine);
-        if (EdgeRec)
-          edge(NewRef, Last.Offset, Pl[Last.Offset]);
-      }
-      return Result;
-    }
-    }
+template <typename SizeFn>
+bool TagFreeTracer::claim(Word V, Word &NewRef, CensusKind K,
+                          SizeFn Words) {
+  // tryClaim is the parallel arbitration seam (a serial Space claims
+  // unconditionally). Word-0 reads — discriminants, closure code
+  // addresses — in Words() are safe because only the claim winner reaches
+  // them, and publish is what clobbers word 0.
+  if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef))
+    return false;
+  uint32_t N = Words();
+  NewRef = Sp.visitNew(V, N);
+  St.add(StatId::GcObjectsVisited);
+  St.add(StatId::GcWordsVisited, N);
+  // Census and heap-profiler hooks: the (kind, words) increments mirror
+  // the two counters above. The profiler also gets the old→new address
+  // pair for its typed snapshot and allocation-site side table.
+  if (Census)
+    Census->record(K, N);
+  else if (Tel)
+    Tel->census(K, N);
+  if (Prof) [[unlikely]]
+    Prof->recordVisit(V, NewRef, K, N);
+  return true;
+}
+
+static Word word0(Word V) { return *reinterpret_cast<const Word *>(V); }
+
+Word TagFreeTracer::resolveCompiled(Word V, RoutineId R) {
+  const TypeRoutine &TR = CM->routine(R);
+  Word NewRef = 0;
+  bool HasFields = false;
+  switch (TR.F) {
+  case TypeRoutine::Form::Leaf:
+    return V;
+  case TypeRoutine::Form::FunValue:
+    return resolveClosure(V, nullptr, TR.FunStaticTy);
+  case TypeRoutine::Form::Record:
+  case TypeRoutine::Form::RefCell:
+    if (V == 0)
+      return 0;
+    if (!claim(V, NewRef,
+               TR.F == TypeRoutine::Form::RefCell ? CensusKind::Ref
+                                                  : CensusKind::Tuple,
+               [&] { return TR.PayloadWords; }))
+      return NewRef;
+    HasFields = !TR.Fields.empty();
+    break;
+  case TypeRoutine::Form::DataSwitch:
+    if (V < ImmediateCtorLimit) // Covers nullary ctors and null.
+      return V;
+    if (!claim(V, NewRef, CensusKind::Data, [&] {
+          Word Disc = word0(V);
+          assert(Disc < TR.CtorSizes.size() && "corrupt discriminant");
+          HasFields = !TR.CtorFields[Disc].empty();
+          return TR.CtorSizes[Disc];
+        }))
+      return NewRef;
+    break;
   }
+  if (HasFields)
+    GreyStack.emplace_back(NewRef, R);
+  return NewRef;
 }
 
 DescBinding TagFreeTracer::resolveArg(DescId A, const DescEnvNode *Env) {
@@ -136,21 +88,15 @@ bool TagFreeTracer::bindingsEqual(const DescBinding &A,
   return A.Env == B.Env || descTable().desc(A.D).Ground;
 }
 
-Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
-  Word Result = V;
-  Word *Patch = &Result;
-  // (PatchObj, PatchField): the payload slot Patch aims at once the tail
-  // loop redirects it — see traceCompiled.
-  Word PatchObj = 0;
-  uint32_t PatchField = 0;
+Word TagFreeTracer::resolveDesc(Word V, DescId D, const DescEnvNode *Env) {
+  DescriptorTable &T = descTable();
   for (;;) {
-    DescriptorTable &T = descTable();
     const Descriptor &Desc = T.desc(D);
     St.add(StatId::GcDescSteps);
+    Word NewRef = 0;
     switch (Desc.Kind) {
     case DescKind::Leaf:
-      *Patch = V; // Non-reference: no edge.
-      return Result;
+      return V;
     case DescKind::Param: {
       assert(Env && "Param descriptor outside a datatype context");
       DescBinding B = Env->Binds[Desc.A];
@@ -159,345 +105,60 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
       continue;
     }
     case DescKind::Fun:
-      *Patch = traceClosureValue(V, nullptr, Desc.FunTy);
-      if (EdgeRec)
-        edge(PatchObj, PatchField, *Patch);
-      return Result;
-    case DescKind::Tuple: {
-      if (V == 0) {
-        *Patch = 0;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (EdgeRec)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      NewRef = Sp.visitNew(V, Desc.Args.size());
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, Desc.Args.size());
-      visit(V, NewRef, CensusKind::Tuple, Desc.Args.size());
-      *Patch = NewRef;
-      if (EdgeRec)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      // The interpreted method walks the descriptor for every field, even
-      // ones with nothing to trace.
-      for (size_t I = 0; I < Desc.Args.size(); ++I) {
-        Pl[I] = traceDesc(Pl[I], Desc.Args[I], Env);
-        if (EdgeRec && !isLeaf(resolveArg(Desc.Args[I], Env).D))
-          edge(NewRef, (uint32_t)I, Pl[I]);
-      }
-      return Result;
+      return resolveClosure(V, nullptr, Desc.FunTy);
+    case DescKind::Tuple:
+    case DescKind::Ref:
+      if (V == 0)
+        return 0;
+      if (!claim(V, NewRef,
+                 Desc.Kind == DescKind::Ref ? CensusKind::Ref
+                                            : CensusKind::Tuple,
+                 [&] { return (uint32_t)Desc.Args.size(); }))
+        return NewRef;
+      break;
+    case DescKind::Data:
+      if (V < ImmediateCtorLimit)
+        return V;
+      if (!claim(V, NewRef, CensusKind::Data, [&] {
+            return (uint32_t)(1 + T.ctorShape(Desc.A, (unsigned)word0(V))
+                                      .size());
+          }))
+        return NewRef;
+      break;
     }
-    case DescKind::Ref: {
-      if (V == 0) {
-        *Patch = 0;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (EdgeRec)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      NewRef = Sp.visitNew(V, 1);
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, 1);
-      visit(V, NewRef, CensusKind::Ref, 1);
-      *Patch = NewRef;
-      if (EdgeRec)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      Pl[0] = traceDesc(Pl[0], Desc.Args[0], Env);
-      if (EdgeRec && !isLeaf(resolveArg(Desc.Args[0], Env).D))
-        edge(NewRef, 0, Pl[0]);
-      return Result;
-    }
-    case DescKind::Data: {
-      if (V < ImmediateCtorLimit) {
-        *Patch = V;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (EdgeRec)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      Word Disc = *reinterpret_cast<const Word *>(V);
-      const std::vector<DescId> &Shape = T.ctorShape(Desc.A, (unsigned)Disc);
-      NewRef = Sp.visitNew(V, 1 + Shape.size());
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, 1 + Shape.size());
-      visit(V, NewRef, CensusKind::Data, 1 + Shape.size());
-      *Patch = NewRef;
-      if (EdgeRec)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-
-      // Effective bindings of this datatype's parameters: the Data
-      // descriptor's argument descriptors resolved under the current
-      // environment (the run-time analogue of instantiating the shape).
-      std::vector<DescBinding> Binds;
-      Binds.reserve(Desc.Args.size());
-      for (DescId A : Desc.Args)
-        Binds.push_back(resolveArg(A, Env));
-
-      // A shape field referring to the same datatype with identical
-      // effective bindings is a self reference: trace it in the current
-      // (D, Env) context — iteratively if it is the last field.
-      auto IsSelf = [&](DescId F) {
-        const Descriptor &FD = T.desc(F);
-        if (FD.Kind != DescKind::Data || FD.A != Desc.A ||
-            FD.Args.size() != Binds.size())
-          return false;
-        for (size_t I = 0; I < FD.Args.size(); ++I) {
-          const Descriptor &AD = T.desc(FD.Args[I]);
-          DescBinding B = AD.Kind == DescKind::Param
-                              ? Binds[AD.A]
-                              : DescBinding{FD.Args[I], nullptr};
-          if (AD.Kind != DescKind::Param && !AD.Ground)
-            return false; // Conservative: fall back to a fresh env.
-          if (!bindingsEqual(B, Binds[I]))
-            return false;
-        }
-        return true;
-      };
-
-      const DescEnvNode *FieldEnv = nullptr;
-      auto GetFieldEnv = [&]() {
-        if (!FieldEnv) {
-          EnvStorage.emplace_back();
-          EnvStorage.back().Binds = Binds;
-          FieldEnv = &EnvStorage.back();
-        }
-        return FieldEnv;
-      };
-
-      size_t N = Shape.size();
-      for (size_t I = 0; I < N; ++I) {
-        DescId F = Shape[I];
-        const Descriptor &FD = T.desc(F);
-        bool Last = I + 1 == N;
-        Word *Slot = &Pl[1 + I];
-
-        if (FD.Kind == DescKind::Param) {
-          DescBinding B = Binds[FD.A];
-          if (Last) {
-            V = *Slot;
-            Patch = Slot;
-            PatchObj = NewRef;
-            PatchField = (uint32_t)(1 + I);
-            D = B.D;
-            Env = B.Env;
-            goto tail;
-          }
-          *Slot = traceDesc(*Slot, B.D, B.Env);
-          if (EdgeRec && !isLeaf(B.D))
-            edge(NewRef, (uint32_t)(1 + I), *Slot);
-          continue;
-        }
-        if (IsSelf(F)) {
-          if (Last) {
-            V = *Slot;
-            Patch = Slot;
-            PatchObj = NewRef;
-            PatchField = (uint32_t)(1 + I);
-            goto tail; // Same D, same Env: the list-spine loop.
-          }
-          *Slot = traceDesc(*Slot, D, Env);
-          if (EdgeRec)
-            edge(NewRef, (uint32_t)(1 + I), *Slot);
-          continue;
-        }
-        if (FD.Ground) {
-          if (Last) {
-            V = *Slot;
-            Patch = Slot;
-            PatchObj = NewRef;
-            PatchField = (uint32_t)(1 + I);
-            D = F;
-            Env = nullptr;
-            goto tail;
-          }
-          *Slot = traceDesc(*Slot, F, nullptr);
-          if (EdgeRec && !isLeaf(F))
-            edge(NewRef, (uint32_t)(1 + I), *Slot);
-          continue;
-        }
-        // Open template field: needs the instantiated environment.
-        if (Last) {
-          V = *Slot;
-          Patch = Slot;
-          PatchObj = NewRef;
-          PatchField = (uint32_t)(1 + I);
-          D = F;
-          Env = GetFieldEnv();
-          goto tail;
-        }
-        *Slot = traceDesc(*Slot, F, GetFieldEnv());
-        if (EdgeRec)
-          edge(NewRef, (uint32_t)(1 + I), *Slot);
-      }
-      return Result;
-    tail:
-      continue;
-    }
-    }
+    GreyStack.emplace_back(NewRef, D, Env);
+    return NewRef;
   }
 }
 
-Word TagFreeTracer::traceTg(Word V, const TypeGc *Tg) {
-  Word Result = V;
-  Word *Patch = &Result;
-  // (PatchObj, PatchField): the payload slot Patch aims at once the tail
-  // loop redirects it — see traceCompiled. Const-kind fields are never
-  // traced, so they also record no edge (they hold no reference).
-  Word PatchObj = 0;
-  uint32_t PatchField = 0;
-  for (;;) {
-    St.add(StatId::GcTgSteps);
-    switch (Tg->K) {
-    case TypeGc::Kind::Const:
-      *Patch = V;
-      return Result;
-    case TypeGc::Kind::Fun:
-      *Patch = traceClosureValue(V, Tg, nullptr);
-      if (EdgeRec)
-        edge(PatchObj, PatchField, *Patch);
-      return Result;
-    case TypeGc::Kind::Record: {
-      if (V == 0) {
-        *Patch = 0;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (EdgeRec)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      NewRef = Sp.visitNew(V, Tg->NumArgs);
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, Tg->NumArgs);
-      visit(V, NewRef, CensusKind::Tuple, Tg->NumArgs);
-      *Patch = NewRef;
-      if (EdgeRec)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      for (uint32_t I = 0; I < Tg->NumArgs; ++I)
-        if (Tg->Args[I]->K != TypeGc::Kind::Const) {
-          Pl[I] = traceTg(Pl[I], Tg->Args[I]);
-          if (EdgeRec)
-            edge(NewRef, I, Pl[I]);
-        }
-      return Result;
-    }
-    case TypeGc::Kind::Ref: {
-      if (V == 0) {
-        *Patch = 0;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (EdgeRec)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      NewRef = Sp.visitNew(V, 1);
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, 1);
-      visit(V, NewRef, CensusKind::Ref, 1);
-      *Patch = NewRef;
-      if (EdgeRec)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      if (Tg->Args[0]->K != TypeGc::Kind::Const) {
-        Pl[0] = traceTg(Pl[0], Tg->Args[0]);
-        if (EdgeRec)
-          edge(NewRef, 0, Pl[0]);
-      }
-      return Result;
-    }
-    case TypeGc::Kind::Data: {
-      if (V < ImmediateCtorLimit) {
-        *Patch = V;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (EdgeRec)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      Word Disc = *reinterpret_cast<const Word *>(V);
-      uint32_t NumFields = Tg->CtorFieldCounts[Disc];
-      NewRef = Sp.visitNew(V, 1 + NumFields);
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, 1 + NumFields);
-      visit(V, NewRef, CensusKind::Data, 1 + NumFields);
-      *Patch = NewRef;
-      if (EdgeRec)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      const TypeGc *const *Fields = Tg->CtorFields[Disc];
-      for (uint32_t I = 0; I + 1 < NumFields; ++I)
-        if (Fields[I]->K != TypeGc::Kind::Const) {
-          Pl[1 + I] = traceTg(Pl[1 + I], Fields[I]);
-          if (EdgeRec)
-            edge(NewRef, 1 + I, Pl[1 + I]);
-        }
-      if (NumFields != 0) {
-        const TypeGc *Last = Fields[NumFields - 1];
-        if (Last == Tg) {
-          V = Pl[NumFields];
-          Patch = &Pl[NumFields];
-          PatchObj = NewRef;
-          PatchField = NumFields;
-          continue;
-        }
-        if (Last->K != TypeGc::Kind::Const) {
-          Pl[NumFields] = traceTg(Pl[NumFields], Last);
-          if (EdgeRec)
-            edge(NewRef, NumFields, Pl[NumFields]);
-        }
-      }
-      return Result;
-    }
-    }
+Word TagFreeTracer::resolveTg(Word V, const TypeGc *Tg) {
+  St.add(StatId::GcTgSteps);
+  Word NewRef = 0;
+  switch (Tg->K) {
+  case TypeGc::Kind::Const:
+    return V;
+  case TypeGc::Kind::Fun:
+    return resolveClosure(V, Tg, nullptr);
+  case TypeGc::Kind::Record:
+  case TypeGc::Kind::Ref:
+    if (V == 0)
+      return 0;
+    if (!claim(V, NewRef,
+               Tg->K == TypeGc::Kind::Ref ? CensusKind::Ref
+                                          : CensusKind::Tuple,
+               [&] { return Tg->NumArgs; }))
+      return NewRef;
+    break;
+  case TypeGc::Kind::Data:
+    if (V < ImmediateCtorLimit)
+      return V;
+    if (!claim(V, NewRef, CensusKind::Data,
+               [&] { return 1 + Tg->CtorFieldCounts[word0(V)]; }))
+      return NewRef;
+    break;
   }
+  GreyStack.emplace_back(NewRef, Tg);
+  return NewRef;
 }
 
 const TypeGc *TagFreeTracer::bindParam(const ClosureParamPath &P,
@@ -510,115 +171,214 @@ const TypeGc *TagFreeTracer::bindParam(const ClosureParamPath &P,
   return Eng.constGc();
 }
 
-Word TagFreeTracer::traceClosureValue(Word V, const TypeGc *FunTg,
-                                      Type *StaticFunTy) {
+Word TagFreeTracer::resolveClosure(Word V, const TypeGc *FunTg,
+                                   Type *StaticFunTy) {
   if (V == 0)
     return 0; // Unpatched placeholder in a recursive closure group.
-  Word NewRef;
-  if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef))
+  FuncId L = 0;
+  Word NewRef = 0;
+  if (!claim(V, NewRef, CensusKind::Closure, [&] {
+        L = (FuncId)Img.closureMetaAt((uint32_t)word0(V));
+        return Method == TraceMethod::Compiled
+                   ? CM->closureRoutine(L).PayloadWords
+                   : closureDescriptor(L).PayloadWords;
+      }))
     return NewRef;
+  if (!FunTg && !Prog.fn(L).TypeParams.empty()) {
+    assert(StaticFunTy && "no function type available for extraction");
+    TgEnv Empty;
+    FunTg = Eng.eval(StaticFunTy, Empty);
+  }
+  GreyStack.emplace_back(NewRef, L, FunTg);
+  return NewRef;
+}
 
-  // Post-claim: the code-address read in word 0 is stable (see above).
-  Word CodeAddr = *reinterpret_cast<const Word *>(V);
-  FuncId L = (FuncId)Img.closureMetaAt((uint32_t)CodeAddr);
+void TagFreeTracer::drain() {
+  while (!GreyStack.empty()) {
+    // The entry is read field by field, then popped: a wide copy of an
+    // entry pushed a moment ago stalls on store forwarding.
+    const Grey &G = GreyStack.back();
+    Word Obj = G.Obj;
+    uint32_t Id = G.Id;
+    switch (G.C) {
+    case Grey::Code::Routine:
+      GreyStack.pop_back();
+      scanRoutine(Obj, Id);
+      break;
+    case Grey::Code::Desc: {
+      const DescEnvNode *Env = G.Env;
+      GreyStack.pop_back();
+      scanDesc(Obj, Id, Env);
+      break;
+    }
+    case Grey::Code::Tg: {
+      const TypeGc *Tg = G.Tg;
+      GreyStack.pop_back();
+      scanTg(Obj, Tg);
+      break;
+    }
+    case Grey::Code::Closure: {
+      const TypeGc *FunTg = G.Tg;
+      GreyStack.pop_back();
+      scanClosure(Obj, Id, FunTg);
+      break;
+    }
+    }
+  }
+}
+
+void TagFreeTracer::drainRoot(uint32_t Func, uint32_t Slot, Word Value,
+                              bool MayRef) {
+  drain();
+  if (EdgeRec && MayRef) [[unlikely]]
+    Prof->recordRoot(Func, Slot, Value);
+}
+
+void TagFreeTracer::scanRoutine(Word Obj, RoutineId R) {
+  Word *Pl = Sp.payload(Obj);
+  const TypeRoutine &TR = CM->routine(R);
+  for (const FieldAction &A :
+       std::views::reverse(TR.F == TypeRoutine::Form::DataSwitch
+                               ? TR.CtorFields[Pl[0]]
+                               : TR.Fields)) {
+    St.add(StatId::GcCompiledActions);
+    setField(Obj, A.Offset, resolveCompiled(Pl[A.Offset], A.Routine));
+  }
+}
+
+void TagFreeTracer::scanDesc(Word Obj, DescId D, const DescEnvNode *Env) {
+  Word *Pl = Sp.payload(Obj);
+  const Descriptor &Desc = descTable().desc(D);
+  if (Desc.Kind == DescKind::Data)
+    return scanDescData(Obj, D, Env, Desc);
+  // Tuple or Ref. The interpreted method walks the descriptor for every
+  // field, even ones with nothing to trace.
+  for (uint32_t I = (uint32_t)Desc.Args.size(); I-- > 0;)
+    setField(Obj, I, resolveDesc(Pl[I], Desc.Args[I], Env),
+             EdgeRec && !isLeaf(resolveArg(Desc.Args[I], Env).D));
+}
+
+void TagFreeTracer::scanTg(Word Obj, const TypeGc *Tg) {
+  Word *Pl = Sp.payload(Obj);
+  const TypeGc *const *Fields = Tg->Args;
+  uint32_t N = Tg->NumArgs, Off = 0;
+  if (Tg->K == TypeGc::Kind::Data) {
+    Fields = Tg->CtorFields[Pl[0]];
+    N = Tg->CtorFieldCounts[Pl[0]];
+    Off = 1;
+  }
+  for (uint32_t I = N; I-- > 0;)
+    if (Fields[I]->K != TypeGc::Kind::Const) // const_gc: nothing to do.
+      setField(Obj, Off + I, resolveTg(Pl[Off + I], Fields[I]));
+}
+
+void TagFreeTracer::scanDescData(Word Obj, DescId D, const DescEnvNode *Env,
+                                 const Descriptor &Desc) {
+  DescriptorTable &T = descTable();
+  Word *Pl = Sp.payload(Obj);
+  const std::vector<DescId> &Shape = T.ctorShape(Desc.A, (unsigned)Pl[0]);
+
+  // Effective bindings of this datatype's parameters: the Data
+  // descriptor's argument descriptors resolved under the current
+  // environment (the run-time analogue of instantiating the shape).
+  DataBinds.clear();
+  for (DescId A : Desc.Args)
+    DataBinds.push_back(resolveArg(A, Env));
+
+  // A shape field referring to the same datatype with identical
+  // effective bindings is a self reference: it is traced in the current
+  // (D, Env) context, so the list spine allocates no environment.
+  auto IsSelf = [&](DescId F) {
+    const Descriptor &FD = T.desc(F);
+    if (FD.Kind != DescKind::Data || FD.A != Desc.A ||
+        FD.Args.size() != DataBinds.size())
+      return false;
+    for (size_t I = 0; I < FD.Args.size(); ++I) {
+      const Descriptor &AD = T.desc(FD.Args[I]);
+      DescBinding B = AD.Kind == DescKind::Param
+                          ? DataBinds[AD.A]
+                          : DescBinding{FD.Args[I], nullptr};
+      if (AD.Kind != DescKind::Param && !AD.Ground)
+        return false; // Conservative: fall back to a fresh env.
+      if (!bindingsEqual(B, DataBinds[I]))
+        return false;
+    }
+    return true;
+  };
+
+  const DescEnvNode *FieldEnv = nullptr;
+  for (size_t I = Shape.size(); I-- > 0;) {
+    DescId F = Shape[I];
+    const Descriptor &FD = T.desc(F);
+    uint32_t Off = (uint32_t)(1 + I);
+    if (FD.Kind == DescKind::Param) {
+      DescBinding B = DataBinds[FD.A];
+      setField(Obj, Off, resolveDesc(Pl[Off], B.D, B.Env),
+               EdgeRec && !isLeaf(B.D));
+    } else if (IsSelf(F)) {
+      setField(Obj, Off, resolveDesc(Pl[Off], D, Env));
+    } else if (FD.Ground) {
+      setField(Obj, Off, resolveDesc(Pl[Off], F, nullptr),
+               EdgeRec && !isLeaf(F));
+    } else {
+      // Open template field: needs the instantiated environment.
+      if (!FieldEnv) {
+        EnvStorage.emplace_back();
+        EnvStorage.back().Binds = DataBinds;
+        FieldEnv = &EnvStorage.back();
+      }
+      setField(Obj, Off, resolveDesc(Pl[Off], F, FieldEnv));
+    }
+  }
+}
+
+const ClosureDescriptor &TagFreeTracer::closureDescriptor(FuncId L) const {
+  return Method == TraceMethod::Interpreted ? IM->closureDescriptor(L)
+                                            : AM->closureDescriptor(L);
+}
+
+void TagFreeTracer::scanClosure(Word Obj, FuncId L, const TypeGc *FunTg) {
   const IrFunction &LF = Prog.fn(L);
-
-  uint32_t PayloadWords;
-  const std::vector<ClosureParamPath> *Paths;
-  switch (Method) {
-  case TraceMethod::Compiled: {
-    const ClosureRoutine &CR = CM->closureRoutine(L);
-    PayloadWords = CR.PayloadWords;
-    Paths = &CR.ParamPaths;
-    break;
-  }
-  case TraceMethod::Interpreted: {
-    const ClosureDescriptor &CD = IM->closureDescriptor(L);
-    PayloadWords = CD.PayloadWords;
-    Paths = &CD.ParamPaths;
-    break;
-  }
-  case TraceMethod::Appel: {
-    const ClosureDescriptor &CD = AM->closureDescriptor(L);
-    PayloadWords = CD.PayloadWords;
-    Paths = &CD.ParamPaths;
-    break;
-  }
-  }
-
-  NewRef = Sp.visitNew(V, PayloadWords);
-  St.add(StatId::GcObjectsVisited);
-  St.add(StatId::GcWordsVisited, PayloadWords);
-  visit(V, NewRef, CensusKind::Closure, PayloadWords);
-  Word *Pl = Sp.payload(NewRef);
+  const ClosureRoutine *CR =
+      Method == TraceMethod::Compiled ? &CM->closureRoutine(L) : nullptr;
+  const ClosureDescriptor *CD = CR ? nullptr : &closureDescriptor(L);
 
   // Recover the lambda's type parameters from its function-type routine
   // (paper Figure 4).
-  std::vector<const TypeGc *> Binds;
-  if (!LF.TypeParams.empty()) {
-    if (!FunTg) {
-      assert(StaticFunTy && "no function type available for extraction");
-      TgEnv Empty;
-      FunTg = Eng.eval(StaticFunTy, Empty);
-    }
-    for (const ClosureParamPath &P : *Paths)
-      Binds.push_back(bindParam(P, FunTg));
-  }
+  ClosureBinds.clear();
+  if (!LF.TypeParams.empty())
+    for (const ClosureParamPath &P : CR ? CR->ParamPaths : CD->ParamPaths)
+      ClosureBinds.push_back(bindParam(P, FunTg));
   TgEnv Env;
   Env.Params = &LF.TypeParams;
-  Env.Binds = Binds.data();
+  Env.Binds = ClosureBinds.data();
 
-  switch (Method) {
-  case TraceMethod::Compiled: {
-    const ClosureRoutine &CR = CM->closureRoutine(L);
-    for (const FieldAction &A : CR.Fields) {
+  Word *Pl = Sp.payload(Obj);
+  for (const OpenAction &A : std::views::reverse(CR ? CR->Open : CD->Open))
+    setField(Obj, A.Index, resolveTg(Pl[A.Index], Eng.eval(A.Ty, Env)));
+  if (CR) {
+    for (const FieldAction &A : std::views::reverse(CR->Fields)) {
       St.add(StatId::GcCompiledActions);
-      Pl[A.Offset] = traceCompiled(Pl[A.Offset], A.Routine);
-      if (EdgeRec)
-        edge(NewRef, A.Offset, Pl[A.Offset]);
+      setField(Obj, A.Offset, resolveCompiled(Pl[A.Offset], A.Routine));
     }
-    for (const OpenAction &A : CR.Open) {
-      Pl[A.Index] = traceTg(Pl[A.Index], Eng.eval(A.Ty, Env));
-      if (EdgeRec)
-        edge(NewRef, A.Index, Pl[A.Index]);
-    }
-    break;
+  } else {
+    for (const FrameDescriptor::SlotDesc &F : std::views::reverse(CD->Fields))
+      setField(Obj, F.Slot, resolveDesc(Pl[F.Slot], F.Desc, nullptr));
   }
-  case TraceMethod::Interpreted:
-  case TraceMethod::Appel: {
-    const ClosureDescriptor &CD = Method == TraceMethod::Interpreted
-                                      ? IM->closureDescriptor(L)
-                                      : AM->closureDescriptor(L);
-    for (const FrameDescriptor::SlotDesc &F : CD.Fields) {
-      Pl[F.Slot] = traceDesc(Pl[F.Slot], F.Desc, nullptr);
-      if (EdgeRec)
-        edge(NewRef, F.Slot, Pl[F.Slot]);
-    }
-    for (const OpenAction &A : CD.Open) {
-      Pl[A.Index] = traceTg(Pl[A.Index], Eng.eval(A.Ty, Env));
-      if (EdgeRec)
-        edge(NewRef, A.Index, Pl[A.Index]);
-    }
-    break;
-  }
-  }
-  return NewRef;
 }
 
 void TagFreeTracer::traceFrame(Word *Slots, const FrameRoutine &FR,
                                const TgEnv *Env, uint32_t Func) {
   for (const FrameRoutine::SlotAction &A : FR.Slots) {
     St.add(StatId::GcSlotsTraced);
-    Slots[A.Slot] = traceCompiled(Slots[A.Slot], A.Routine);
-    if (EdgeRec)
-      Prof->recordRoot(Func, A.Slot, Slots[A.Slot]);
+    Slots[A.Slot] = resolveCompiled(Slots[A.Slot], A.Routine);
+    drainRoot(Func, A.Slot, Slots[A.Slot], true);
   }
   for (const OpenAction &A : FR.Open) {
     St.add(StatId::GcSlotsTraced);
     assert(Env && "open slot without type parameter bindings");
-    Slots[A.Index] = traceTg(Slots[A.Index], Eng.eval(A.Ty, *Env));
-    if (EdgeRec)
-      Prof->recordRoot(Func, A.Index, Slots[A.Index]);
+    Slots[A.Index] = resolveTg(Slots[A.Index], Eng.eval(A.Ty, *Env));
+    drainRoot(Func, A.Index, Slots[A.Index], true);
   }
 }
 
@@ -626,15 +386,20 @@ void TagFreeTracer::traceFrame(Word *Slots, const FrameDescriptor &FD,
                                const TgEnv *Env, uint32_t Func) {
   for (const FrameDescriptor::SlotDesc &A : FD.Slots) {
     St.add(StatId::GcSlotsTraced);
-    Slots[A.Slot] = traceDesc(Slots[A.Slot], A.Desc, nullptr);
-    if (EdgeRec && !isLeaf(A.Desc))
-      Prof->recordRoot(Func, A.Slot, Slots[A.Slot]);
+    Slots[A.Slot] = resolveDesc(Slots[A.Slot], A.Desc, nullptr);
+    drainRoot(Func, A.Slot, Slots[A.Slot], EdgeRec && !isLeaf(A.Desc));
   }
   for (const OpenAction &A : FD.Open) {
     St.add(StatId::GcSlotsTraced);
     assert(Env && "open slot without type parameter bindings");
-    Slots[A.Index] = traceTg(Slots[A.Index], Eng.eval(A.Ty, *Env));
-    if (EdgeRec)
-      Prof->recordRoot(Func, A.Index, Slots[A.Index]);
+    Slots[A.Index] = resolveTg(Slots[A.Index], Eng.eval(A.Ty, *Env));
+    drainRoot(Func, A.Index, Slots[A.Index], true);
   }
+}
+
+void TagFreeTracer::traceSlot(Word *Slot, Type *GroundTy) {
+  St.add(StatId::GcSlotsTraced);
+  TgEnv Env; // Ground types have no type parameters to bind.
+  *Slot = resolveTg(*Slot, Eng.eval(GroundTy, Env));
+  drain();
 }

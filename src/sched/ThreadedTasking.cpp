@@ -11,7 +11,6 @@ ThreadedRuntime::ThreadedRuntime(const IrProgram &Prog, const CodeImage &Img,
                                  TypeContext &Types, Collector &Col,
                                  TaskingOptions Opts)
     : Prog(Prog), Img(Img), Types(Types), Col(Col), Opts(Opts) {
-  Col.setParallelMutators(true);
   DecodeConfig DC;
   DC.Model = Col.model();
   DC.Fuse = Opts.FuseSuperinstructions;
@@ -138,6 +137,7 @@ void ThreadedRuntime::threadMain(size_t Idx) {
       TR.Error = T.Machine->error();
     }
     T.Done = true;
+    Col.mutatorThreadFinished();
     if (T.Flight)
       T.Flight->record(FlightEventType::ThreadExit);
     Coord->threadFinished(
@@ -167,6 +167,7 @@ bool ThreadedRuntime::runAll() {
       Job(W, Tasks[Task].Flight);
     });
   });
+  Col.setMutatorThreads((unsigned)Tasks.size());
   std::vector<std::thread> Threads;
   Threads.reserve(Tasks.size());
   for (size_t I = 0; I < Tasks.size(); ++I)

@@ -39,8 +39,6 @@ namespace tfgc {
 
 class ThreadedRuntime : public GcCoordinator {
 public:
-  /// Arms the collector's mutator-parallel mode (remset buffering and
-  /// mark-sweep allocation go behind a lock; TLAB refill goes CAS).
   ThreadedRuntime(const IrProgram &Prog, const CodeImage &Img,
                   TypeContext &Types, Collector &Col, TaskingOptions Opts);
 
@@ -52,8 +50,11 @@ public:
 
   /// Starts one OS thread per task, joins them all, then publishes the
   /// end-of-run stats with the world quiescent. For the duration, the
-  /// collector's trace crew is the handshake's parked mutators. Returns
-  /// false if any task failed.
+  /// collector's trace crew is the handshake's parked mutators, and its
+  /// mutator-thread count is the number of unfinished tasks (remset
+  /// buffering and mark-sweep allocation go behind a lock; TLAB refills
+  /// take each thread's share of the bump space). Returns false if any
+  /// task failed.
   bool runAll();
 
   const std::vector<TaskResult> &results() const { return Results; }

@@ -31,8 +31,9 @@ namespace tfgc {
 class FlightRing;
 
 struct Tlab {
-  /// Default refill request: big enough to amortize the CAS, small enough
-  /// that per-thread waste stays a fraction of any test-sized nursery.
+  /// Largest refill request: big enough to amortize the CAS. Smaller bump
+  /// spaces refill in each running mutator's even share of the space
+  /// (Collector::tryAllocatePayload), so no window takes a nursery whole.
   static constexpr size_t ChunkWords = 256;
 
   Word *Top = nullptr;

@@ -53,23 +53,72 @@ TEST(Regression, NestedCompositeTypeArgumentsInShapes) {
   runAllStrategies(Src, 1 << 12);
 }
 
-TEST(Regression, DeepListTracingIsIterative) {
-  // The tail-field loop in all three tracing engines keeps C++ recursion
-  // depth constant while tracing a 60k-element list spine.
-  std::string Src =
-      "fun build (n : int) : int list = if n = 0 then [] "
-      "else n :: build (n - 1);\n"
-      "fun hold (xs : int list) (u : int) : int =\n"
-      "  case xs of Nil => u | Cons(x, _) => x + u + "
-      "(case build 10 of Nil => 0 | Cons(y, _) => y);\n"
-      "hold (build 60000) 1";
-  // Heap sized below the list (1.44 MiB tag-free), forcing growth
-  // collections while the long spine is live.
-  for (GcStrategy S : AllStrategies) {
-    ExecResult R = execProgram(Src, S, GcAlgorithm::Copying, 1 << 20, false);
-    ASSERT_TRUE(R.Run.Ok) << gcStrategyName(S) << ": " << R.Run.Error;
-    EXPECT_EQ(R.Run.Value, "60011");
-    EXPECT_GT(R.St.get("gc.collections"), 0u) << gcStrategyName(S);
+TEST(Regression, DeepDataTracesWithoutNativeRecursion) {
+  // The tag-free tracers keep grey objects on an explicit stack, so C++
+  // stack depth does not depend on the shape of the heap. Tracers that
+  // recursed natively on every field but a self-recursive tail overflowed
+  // the C++ stack on the last four shapes at this depth.
+  const std::string Defs =
+      "datatype snoc = E | S of snoc * int;\n"
+      "datatype t = L | N of t * t;\n"
+      "datatype 'a psnoc = PE | PS of 'a psnoc * 'a;\n"
+      "fun mk (n : int) (acc : snoc) : snoc =\n"
+      "  if n = 0 then acc else mk (n - 1) (S(acc, n));\n"
+      "fun len (s : snoc) (a : int) : int =\n"
+      "  case s of E => a | S(r, _) => len r (a + 1);\n"
+      "fun mkt (n : int) (acc : t) : t =\n"
+      "  if n = 0 then acc else mkt (n - 1) (N(acc, L));\n"
+      "fun depth (x : t) (a : int) : int =\n"
+      "  case x of L => a | N(l, _) => depth l (a + 1);\n"
+      "fun chain (n : int) (f : int -> int) : int -> int =\n"
+      "  if n = 0 then f else chain (n - 1) (fn x => f x + 1);\n"
+      "fun pmk (n : int) (f : int -> 'a) (acc : 'a psnoc) : 'a psnoc =\n"
+      "  if n = 0 then acc else pmk (n - 1) f (PS(acc, f n));\n"
+      "fun plen (s : 'a psnoc) (a : int) : int =\n"
+      "  case s of PE => a | PS(r, _) => plen r (a + 1);\n";
+  struct Shape {
+    const char *Name;
+    std::string Src;
+    const char *Value;
+  };
+  const Shape Shapes[] = {
+      // A 60k-element list spine, held while short lists churn.
+      {"list",
+       "fun build (n : int) : int list = if n = 0 then [] "
+       "else n :: build (n - 1);\n"
+       "fun hold (xs : int list) (u : int) : int =\n"
+       "  case xs of Nil => u | Cons(x, _) => x + u + "
+       "(case build 10 of Nil => 0 | Cons(y, _) => y);\n"
+       "hold (build 60000) 1",
+       "60011"},
+      {"snoc", Defs + "len (mk 100000 E) 0", "100000"},
+      {"left-deep tree", Defs + "depth (mkt 100000 L) 0", "100000"},
+      {"closure chain", Defs + "(chain 100000 (fn x => x)) 0", "100000"},
+      {"'a snoc", Defs + "plen (pmk 100000 (fn i => i) PE) 0", "100000"},
+  };
+  for (const Shape &Sh : Shapes) {
+    Compiler C;
+    std::string Err;
+    auto P = C.compile(Sh.Src, &Err);
+    ASSERT_TRUE(P) << Sh.Name << ": " << Err;
+    for (GcStrategy S : AllStrategies)
+      for (GcAlgorithm A : AllAlgorithms) {
+        std::string Run = std::string(Sh.Name) + " under " +
+                          gcStrategyName(S) + "/" + gcAlgorithmName(A);
+        Stats St;
+        // 1 MiB: below every shape's live size, so collections run while
+        // the deep structure is live.
+        auto Col = P->makeCollector(S, A, 1 << 20, St, &Err);
+        ASSERT_TRUE(Col) << Err;
+        Col->setVerifyAfterGc(true);
+        Vm M(P->Prog, P->Image, *P->Types, *Col,
+             defaultVmOptions(S, /*GcStress=*/false));
+        RunResult R = M.run();
+        ASSERT_TRUE(R.Ok) << Run << ": " << R.Error;
+        EXPECT_EQ(R.Value, Sh.Value) << Run;
+        EXPECT_GT(St.get("gc.collections"), 0u) << Run;
+        EXPECT_EQ(St.get("gc.verify_violations"), 0u) << Run;
+      }
   }
 }
 

@@ -28,6 +28,10 @@ Usage:
                  baselines present)
   --warn-ratio R warn when a timing moved by more than R x (default 1.5)
 
+Documents written by bench/BenchUtil.h carry a `build` block (git sha,
+build type, sanitizer) and the host's 1-minute load average; a baseline
+and a fresh file of different build types get a timing warning.
+
 Exit status: 1 on counter drift (or a missing/extra run, or two runs of
 one file sharing a run key), 0 otherwise — timing warnings never fail
 the diff.
@@ -164,6 +168,17 @@ def diff_table_runs(name, base, fresh):
     return drift, warns
 
 
+def build_type_warning(name, base, fresh):
+    """Timings of two different tfgc build types are not comparable. Only
+    documents that carry the `build` block (bench/BenchUtil.h) can say."""
+    bt = (base.get("build") or {}).get("build_type")
+    ft = (fresh.get("build") or {}).get("build_type")
+    if bt is not None and ft is not None and bt != ft:
+        return ["%s: baseline built as %s, fresh as %s: timings are not "
+                "comparable" % (name, bt or "(none)", ft or "(none)")]
+    return []
+
+
 def diff_timings(name, base, fresh, warn_ratio):
     """Warn-only comparison of google-benchmark real_time medians."""
     warns = []
@@ -223,6 +238,7 @@ def main():
         compared += 1
         drift, _ = diff_table_runs(name, base, fresh)
         all_drift.extend(drift)
+        all_warns.extend(build_type_warning(name, base, fresh))
         all_warns.extend(diff_timings(name, base, fresh, args.warn_ratio))
 
     for w in all_warns:
