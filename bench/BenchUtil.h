@@ -71,21 +71,21 @@ public:
     if (!enabled())
       return;
     std::ostringstream OS;
-    OS << "    {\"workload\": \"" << Workload << "\", \"strategy\": \""
-       << Strategy << "\", \"algorithm\": \"" << gcAlgorithmName(A)
+    OS << ", \"algorithm\": \"" << gcAlgorithmName(A)
        << "\", \"heap_bytes\": " << HeapBytes;
     if (NurseryBytes)
       OS << ", \"nursery_bytes\": " << NurseryBytes;
     if (Threads)
       OS << ", \"threads\": " << Threads;
-    OS << ", \"counters\": {";
-    bool First = true;
-    for (const auto &[Name, Value] : St.all()) {
-      OS << (First ? "" : ", ") << '"' << Name << "\": " << Value;
-      First = false;
-    }
-    OS << "}}";
-    Rows.push_back(OS.str());
+    addRow(Strategy, OS.str(), St);
+  }
+
+  /// Captures one table row whose counters come from compiling, not from
+  /// a run (metadata sizes, analysis results): keyed on the workload and
+  /// \p Label alone.
+  void recordCounters(const char *Label, const Stats &St) {
+    if (enabled())
+      addRow(Label, "", St);
   }
 
   /// Runs the registered google-benchmark timings (JSON-captured when
@@ -136,6 +136,19 @@ public:
   }
 
 private:
+  void addRow(const char *Strategy, const std::string &Key, const Stats &St) {
+    std::ostringstream OS;
+    OS << "    {\"workload\": \"" << Workload << "\", \"strategy\": \""
+       << Strategy << '"' << Key << ", \"counters\": {";
+    bool First = true;
+    for (const auto &[Name, Value] : St.all()) {
+      OS << (First ? "" : ", ") << '"' << Name << "\": " << Value;
+      First = false;
+    }
+    OS << "}}";
+    Rows.push_back(OS.str());
+  }
+
   std::string BenchName;
   std::string Path;
   std::string Workload;

@@ -7,7 +7,8 @@
 /// overhead during execution." Per-call-site routines (the paper's
 /// method) trace only initialized slots, so frames need no zeroing. This
 /// bench measures words zeroed and the wall-time impact on call-heavy
-/// code.
+/// code. Each configuration's run counters are recorded for the
+/// bench_diff gate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,10 +22,11 @@ namespace {
 
 void report(const char *Config, const std::string &Src, GcStrategy S,
             bool ForceZero) {
+  constexpr size_t HeapBytes = 1 << 20;
   auto P = compileOrDie(Src);
   Stats St;
   std::string Err;
-  auto Col = P->makeCollector(S, GcAlgorithm::Copying, 1 << 20, St, &Err);
+  auto Col = P->makeCollector(S, GcAlgorithm::Copying, HeapBytes, St, &Err);
   if (!Col)
     std::abort();
   VmOptions VO = defaultVmOptions(S);
@@ -33,6 +35,11 @@ void report(const char *Config, const std::string &Src, GcStrategy S,
   RunResult R = M.run();
   if (!R.Ok)
     std::abort();
+  if (JsonSink *Sink = JsonSink::active())
+    Sink->record((std::string(gcStrategyName(S)) +
+                  (ForceZero ? "+zero_frames" : ""))
+                     .c_str(),
+                 GcAlgorithm::Copying, HeapBytes, St);
   tableCell(Config);
   tableCell(St.get(StatId::VmCalls));
   tableCell(St.get(StatId::VmFrameWordsZeroed));

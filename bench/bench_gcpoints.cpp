@@ -3,7 +3,8 @@
 /// Paper section 5.1: the fixpoint S of functions that may lead to a
 /// collection. Sites outside S need no gc_word at all, and many sites in
 /// S still share the single no_trace routine. This bench reports both
-/// effects per workload, plus the fixpoint iteration count.
+/// effects per workload, plus the fixpoint iteration count. Every row's
+/// counters (gcpoints.*) are recorded for the bench_diff gate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,16 @@ void report(const char *Name, const std::string &Src) {
   uint64_t MayCollect = 0;
   for (bool B : P->GcPoints.MayCollect)
     MayCollect += B;
+  Stats St;
+  St.set("gcpoints.sites", Total);
+  St.set("gcpoints.sites_omitted", Omitted);
+  St.set("gcpoints.sites_no_trace", NoTrace);
+  St.set("gcpoints.fixpoint_iterations", P->GcPoints.FixpointIterations);
+  St.set("gcpoints.functions_may_collect", MayCollect);
+  St.set("gcpoints.functions", P->Prog.Functions.size());
+  jsonWorkload(Name);
+  if (JsonSink *Sink = JsonSink::active())
+    Sink->recordCounters("gcpoints", St);
   tableCell(Name);
   tableCell(Total);
   tableCell(Omitted);

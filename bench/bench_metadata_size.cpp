@@ -4,7 +4,8 @@
 /// routines are generated code and grow with the program; interpreted
 /// descriptors are shared data and stay small; the tagged baseline needs
 /// no tables at all but pays one header word per *object* at run time
-/// (E2). Also reports gc_word accounting from the code image.
+/// (E2). Also reports gc_word accounting from the code image. Every E4
+/// row's counters (meta.*) are recorded for the bench_diff gate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,20 @@ namespace {
 
 void report(const char *Name, const std::string &Src) {
   auto P = compileOrDie(Src);
+  Stats St;
+  St.set("meta.functions", P->Prog.Functions.size());
+  St.set("meta.sites", P->Prog.Sites.size());
+  St.set("meta.compiled_bytes", P->Compiled.sizeBytes());
+  St.set("meta.interpreted_bytes", P->Interp->sizeBytes());
+  St.set("meta.appel_bytes", P->Appel->sizeBytes());
+  St.set("meta.frame_routines", P->Compiled.numFrameRoutines());
+  St.set("meta.type_routines", P->Compiled.numTypeRoutines());
+  St.set("meta.image_words", P->Image.sizeWords());
+  St.set("meta.gc_words", P->Image.gcWordBytes() / sizeof(Word));
+  St.set("meta.gc_words_omitted", P->Image.omittedGcWords());
+  jsonWorkload(Name);
+  if (JsonSink *Sink = JsonSink::active())
+    Sink->recordCounters("metadata", St);
   tableCell(Name);
   tableCell(P->Prog.Functions.size());
   tableCell(P->Prog.Sites.size());

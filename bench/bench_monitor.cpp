@@ -8,15 +8,15 @@
 ///           and a never-taken branch per step. Must be within noise
 ///           (<= 1%) of the seed build.
 ///   sample  monitor attached at the default period (512 steps): flat +
-///           caller profile, MMU tracking, per-task accounting. <= 5%.
+///           caller profile, per-task accounting. <= 5%.
 ///   stream  sample + JSONL heartbeats to a null stream every 10 ms —
 ///           prices the serialization, not the disk.
 ///
-/// The second table is the observability payoff: the MMU/pause profile of
-/// generationalChurn under all three collection algorithms, measured by
-/// the monitor itself — few-big-pauses (copying/marksweep) versus
-/// many-tiny-pauses (generational with the bench's deliberately small
-/// nursery) become a quantified trade-off instead of folklore.
+/// E12's pause-structure table (MMU per algorithm) comes from
+/// `tfgc --flight-out` recordings through `tools/flight_report.py --mmu`
+/// (EXPERIMENTS.md, E12). This bench records that program's counters
+/// under the three algorithms, so bench_diff guards the collection
+/// counts the table is read against.
 ///
 /// Reports wall-clock medians over interleaved runs; the
 /// google-benchmark entries feed BENCH_monitor.json for the trajectory.
@@ -56,7 +56,7 @@ Monitor::Options monOpts(MonitorMode M) {
 }
 
 /// One compile-free run under \p Mode; returns stats, optionally the wall
-/// time and the monitor state (for the MMU table).
+/// time and the monitor state (for the sample counts).
 Stats monitoredRun(CompiledProgram &P, GcStrategy S, GcAlgorithm A,
                    size_t Heap, size_t Nursery, MonitorMode Mode,
                    uint64_t *WallNs = nullptr, Monitor *MonOut = nullptr) {
@@ -173,40 +173,24 @@ void reportCost() {
              "into the ratio");
 }
 
-void reportMmu() {
-  // The observability payoff: the monitor prices each algorithm's pause
-  // behaviour on the same minor-dominated workload. MMU(w) is the worst
-  // fraction of any w-window the mutator kept.
+void reportMmuProgram() {
+  // E12's MMU program: few big pauses under copying/marksweep, hundreds of
+  // tiny ones under generational with an 8 KiB nursery.
   auto P = compileOrDie(wl::generationalChurn(20000, 30, 4000));
-  tableHeader("E12: MMU on generationalChurn (compiled tag-free)",
-              "monitor-measured minimum mutator utilization; higher is "
-              "better; 'mut frac' is overall mutator share of wall-clock",
-              {"algo", "collections", "mut frac", "MMU 1ms", "MMU 10ms",
-               "MMU 100ms"});
   jsonWorkload("generationalChurn");
-  const GcAlgorithm Algos[] = {GcAlgorithm::Copying, GcAlgorithm::MarkSweep,
-                               GcAlgorithm::Generational};
-  for (GcAlgorithm A : Algos) {
+  std::printf("\nE12 MMU program (generationalChurn 20000/30/4000, 1 MiB "
+              "heap) collections:");
+  for (GcAlgorithm A : {GcAlgorithm::Copying, GcAlgorithm::MarkSweep,
+                        GcAlgorithm::Generational}) {
     size_t Nursery = A == GcAlgorithm::Generational ? GenNurseryBytes : 0;
     Monitor Mon;
     Stats St = monitoredRun(*P, GcStrategy::CompiledTagFree, A, GenHeapBytes,
                             Nursery, Sample, nullptr, &Mon);
-    tableCell(gcAlgorithmName(A));
-    tableCell(St.get(StatId::GcCollections));
-    tableCell(Mon.mutatorFraction());
-    tableCell(Mon.mmu(1'000'000));
-    tableCell(Mon.mmu(10'000'000));
-    tableCell(Mon.mmu(100'000'000));
-    tableEnd();
+    std::printf(" %s=%llu", gcAlgorithmName(A),
+                (unsigned long long)St.get(StatId::GcCollections));
   }
-  std::printf(
-      "\nExpected shape: copying and marksweep take a handful of big "
-      "pauses, so most\nsmall windows are untouched and MMU climbs "
-      "quickly with the window. With the\n8 KB bench nursery this "
-      "workload is minor-collection-bound: generational\nspends ~half "
-      "its wall-clock in hundreds of tiny pauses and its small-window\n"
-      "MMU collapses — the table makes that trade-off measurable instead "
-      "of assumed.\n");
+  std::printf("\n(MMU: tfgc --flight-out + tools/flight_report.py --mmu; "
+              "EXPERIMENTS.md, E12)\n");
 }
 
 std::unique_ptr<CompiledProgram> &arithProg() {
@@ -250,13 +234,11 @@ BENCHMARK_CAPTURE(BM_ListChurn, stream, Stream);
 int main(int argc, char **argv) {
   JsonSink Sink("monitor", argc, argv);
   reportCost();
-  reportMmu();
+  reportMmuProgram();
   std::printf(
       "\nExpected shape: 'sample' tracks 'off' within noise — a sample is "
       "a handful\nof counter bumps amortized over 512 steps — and "
-      "'stream' pays only when a\nheartbeat period elapses. The MMU table "
-      "is the feature: pause structure,\nmeasured from the mutator's "
-      "side.\n\n");
+      "'stream' pays only when a\nheartbeat period elapses.\n\n");
   benchmark::Initialize(&argc, argv);
   Sink.runBenchmarksAndWrite();
   return 0;

@@ -84,15 +84,10 @@ public:
   void setHeapProfiler(HeapProfiler *P) { Prof = P; }
   HeapProfiler *heapProfiler() { return Prof; }
 
-  /// Attaches the mutator-side monitor (not owned; may be null). The
-  /// monitor adopts this collector's telemetry timebase and receives
-  /// every collection event; the VM polls monitor() at construction to
-  /// arm its sample-point fuel, so attach before creating VMs.
-  void setMonitor(Monitor *M) {
-    Mon = M;
-    if (M)
-      M->attachTelemetry(&Tel);
-  }
+  /// Attaches the mutator-side monitor (not owned; may be null). The VM
+  /// polls monitor() at construction to arm its sample-point fuel, so
+  /// attach before creating VMs.
+  void setMonitor(Monitor *M) { Mon = M; }
   Monitor *monitor() { return Mon; }
 
   /// Attaches the flight recorder (not owned; may be null). Wires the

@@ -75,8 +75,9 @@ const std::vector<CliFlag> &tfgc::cliFlags() {
        "capture every Nth eligible collection (default 1; requires "
        "--heap-dump)"},
       {"--monitor", false,
-       "mutator-side monitor: sampling profiler + MMU/utilization "
-       "tracking"},
+       "mutator-side sampling profiler (flat/caller profiles, opcode "
+       "mix); MMU comes from --flight-out via tools/flight_report.py "
+       "--mmu"},
       {"--monitor-out", true,
        "stream schema-versioned JSONL heartbeats and a final summary "
        "(implies --monitor; render with tools/monitor_report.py)"},

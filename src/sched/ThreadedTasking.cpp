@@ -108,8 +108,6 @@ void ThreadedRuntime::threadMain(size_t Idx) {
           (unsigned)Idx,
           [&](const SafepointCoordinator::ParkInfo &PI) {
             T.StopDelayHist.record(PI.DelayNs);
-            if (Monitor *M = Col.monitor())
-              M->recordTaskStopDelay((uint32_t)Idx, PI.DelayNs);
             if (PI.LastParker)
               LastParkerTask = Idx;
             if (T.Flight)

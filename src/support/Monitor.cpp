@@ -3,6 +3,7 @@
 #include "support/Monitor.h"
 
 #include "support/Epoch.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -26,77 +27,11 @@ const char *tfgc::opClassName(OpClass C) {
 }
 
 //===----------------------------------------------------------------------===//
-// MmuTracker
-//===----------------------------------------------------------------------===//
-
-void MmuTracker::addPause(uint64_t StartNs, uint64_t EndNs) {
-  if (!Ends.empty() && StartNs < Ends.back())
-    StartNs = Ends.back();
-  if (EndNs < StartNs)
-    EndNs = StartNs;
-  Starts.push_back(StartNs);
-  Ends.push_back(EndNs);
-  Prefix.push_back(gcNsTotal() + (EndNs - StartNs));
-}
-
-uint64_t MmuTracker::gcNsIn(uint64_t T0, uint64_t T1) const {
-  if (T1 <= T0 || Starts.empty())
-    return 0;
-  // Pauses overlapping [T0, T1): the first whose end exceeds T0 through
-  // the last whose start precedes T1.
-  size_t Lo = std::upper_bound(Ends.begin(), Ends.end(), T0) - Ends.begin();
-  size_t Hi =
-      std::lower_bound(Starts.begin(), Starts.end(), T1) - Starts.begin();
-  if (Lo >= Hi)
-    return 0;
-  uint64_t Sum = Prefix[Hi - 1] - (Lo ? Prefix[Lo - 1] : 0);
-  if (Starts[Lo] < T0)
-    Sum -= T0 - Starts[Lo];
-  if (Ends[Hi - 1] > T1)
-    Sum -= Ends[Hi - 1] - T1;
-  return Sum;
-}
-
-double MmuTracker::mmu(uint64_t WindowNs, uint64_t T0, uint64_t T1) const {
-  if (T1 <= T0)
-    return 1.0;
-  if (WindowNs == 0)
-    WindowNs = 1;
-  uint64_t Span = T1 - T0;
-  if (Span <= WindowNs)
-    return 1.0 - (double)gcNsIn(T0, T1) / (double)Span;
-  // The GC time inside a sliding window is piecewise linear in the window
-  // position with maxima only where a window edge aligns with a pause
-  // edge, so evaluating windows anchored at every pause start, every
-  // pause end, and the two interval extremes finds the minimum.
-  double MinU = 1.0;
-  auto EvalStartingAt = [&](uint64_t T) {
-    if (T < T0)
-      T = T0;
-    if (T > T1 - WindowNs)
-      T = T1 - WindowNs;
-    double U = 1.0 - (double)gcNsIn(T, T + WindowNs) / (double)WindowNs;
-    if (U < MinU)
-      MinU = U;
-  };
-  EvalStartingAt(T0);
-  EvalStartingAt(T1 - WindowNs);
-  for (size_t I = 0; I < Starts.size(); ++I) {
-    if (Ends[I] <= T0 || Starts[I] >= T1)
-      continue;
-    EvalStartingAt(Starts[I]);
-    if (Ends[I] >= WindowNs)
-      EvalStartingAt(Ends[I] - WindowNs);
-  }
-  return MinU;
-}
-
-//===----------------------------------------------------------------------===//
 // Monitor
 //===----------------------------------------------------------------------===//
 
 Monitor::Monitor(Options O)
-    : Opts(O), OwnEpoch(std::chrono::steady_clock::now()) {
+    : Opts(O), Epoch(std::chrono::steady_clock::now()) {
   if (Opts.SamplePeriodSteps == 0)
     Opts.SamplePeriodSteps = 1;
   if (Opts.HeartbeatPeriodMs == 0)
@@ -104,59 +39,15 @@ Monitor::Monitor(Options O)
 }
 
 uint64_t Monitor::nowNs() const {
-  if (Tel)
-    return Tel->nowNs();
   return (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - OwnEpoch)
+             std::chrono::steady_clock::now() - Epoch)
       .count();
-}
-
-void Monitor::attachTelemetry(Telemetry *T) {
-  Tel = T;
-  if (Tel)
-    Tel->setEventSink(this);
 }
 
 void Monitor::setStream(std::ostream *OS) {
   Stream = OS;
   if (Stream)
     emitHeader();
-}
-
-void Monitor::beginRun() {
-  if (RunStartNs != NoTime)
-    return;
-  RunStartNs = nowNs();
-  LastResumeNs = RunStartNs;
-  LastHbNs = RunStartNs;
-}
-
-void Monitor::endRun() {
-  uint64_t Now = nowNs();
-  if (RunStartNs == NoTime)
-    beginRun();
-  if (LastResumeNs != NoTime && Now > LastResumeNs)
-    MutatorNsTotal += Now - LastResumeNs;
-  LastResumeNs = Now;
-  RunEndNs = Now;
-}
-
-void Monitor::onGcEvent(const GcEvent &E) {
-  uint64_t Start = E.StartNs;
-  uint64_t End = E.StartNs + E.PauseNs;
-  if (RunStartNs == NoTime) {
-    // Collection before any VM started (collector-only harnesses): open
-    // the run window at the event so the interval math stays consistent.
-    RunStartNs = Start;
-    LastResumeNs = Start;
-    LastHbNs = Start;
-  }
-  if (LastResumeNs != NoTime && Start > LastResumeNs)
-    MutatorNsTotal += Start - LastResumeNs;
-  if (LastResumeNs == NoTime || End > LastResumeNs)
-    LastResumeNs = End;
-  Mmu.addPause(Start, End);
-  ++Collections;
 }
 
 void Monitor::recordSample(uint32_t Func, uint32_t Caller, OpClass C,
@@ -181,12 +72,6 @@ void Monitor::recordSample(uint32_t Func, uint32_t Caller, OpClass C,
     emitHeartbeat(Now, SC);
 }
 
-void Monitor::recordTaskStopDelay(uint32_t TaskIdx, uint64_t DelayNs) {
-  if (TaskIdx >= Tasks.size())
-    Tasks.resize((size_t)TaskIdx + 1);
-  Tasks[TaskIdx].StopDelay.record(DelayNs);
-}
-
 void Monitor::noteTaskSteps(uint32_t TaskIdx, uint64_t Steps) {
   if (TaskIdx >= Tasks.size())
     Tasks.resize((size_t)TaskIdx + 1);
@@ -198,37 +83,6 @@ uint64_t Monitor::stepsObserved() const {
   for (const TaskCell &T : Tasks)
     S += T.Steps;
   return S;
-}
-
-uint64_t Monitor::runEndOrNow() const {
-  return RunEndNs != NoTime ? RunEndNs : nowNs();
-}
-
-uint64_t Monitor::wallNs() const {
-  if (RunStartNs == NoTime)
-    return 0;
-  uint64_t End = runEndOrNow();
-  return End > RunStartNs ? End - RunStartNs : 0;
-}
-
-uint64_t Monitor::mutatorNsAt(uint64_t Now) const {
-  uint64_t M = MutatorNsTotal;
-  if (LastResumeNs != NoTime && Now > LastResumeNs && RunEndNs == NoTime)
-    M += Now - LastResumeNs;
-  return M;
-}
-
-double Monitor::mutatorFraction() const {
-  uint64_t Wall = wallNs();
-  if (!Wall)
-    return 1.0;
-  return (double)mutatorNsAt(runEndOrNow()) / (double)Wall;
-}
-
-double Monitor::mmu(uint64_t WindowNs) const {
-  if (RunStartNs == NoTime)
-    return 1.0;
-  return Mmu.mmu(WindowNs, RunStartNs, runEndOrNow());
 }
 
 const std::string &Monitor::funcName(uint32_t Func) const {
@@ -265,13 +119,7 @@ void Monitor::writeTasksJson(std::ostream &OS) const {
   for (size_t I = 0; I < Tasks.size(); ++I) {
     const TaskCell &T = Tasks[I];
     OS << (I ? ", " : "") << "{\"task\": " << I << ", \"steps\": " << T.Steps
-       << ", \"samples\": " << T.Samples
-       << ", \"stop_delays\": " << T.StopDelay.count();
-    if (T.StopDelay.count())
-      OS << ", \"stop_delay_ns_p50\": " << T.StopDelay.percentile(50)
-         << ", \"stop_delay_ns_p99\": " << T.StopDelay.percentile(99)
-         << ", \"stop_delay_ns_max\": " << T.StopDelay.max();
-    OS << "}";
+       << ", \"samples\": " << T.Samples << "}";
   }
   OS << "]";
 }
@@ -289,10 +137,8 @@ void Monitor::emitHeartbeat(uint64_t Now, const SampleCounters &SC) {
   };
   std::ostringstream OS;
   OS << "{\"type\": \"heartbeat\", \"seq\": " << HeartbeatSeq++
-     << ", \"t_ns\": " << (Now - RunStartNs) << ", \"dt_ns\": " << DtNs
+     << ", \"t_ns\": " << Now << ", \"dt_ns\": " << DtNs
      << ", \"steps\": " << stepsObserved() << ", \"samples\": " << Samples
-     << ", \"collections\": " << Collections << ", \"gc_ns\": " << gcNs()
-     << ", \"mutator_ns\": " << mutatorNsAt(Now)
      << ", \"alloc_bytes\": " << SC.AllocBytes
      << ", \"alloc_rate_bytes_per_ms\": "
      << fmtFrac(Rate(SC.AllocBytes, LastHbCounters.AllocBytes))
@@ -305,12 +151,7 @@ void Monitor::emitHeartbeat(uint64_t Now, const SampleCounters &SC) {
              ? SC.RemsetEntries - LastHbCounters.RemsetEntries
              : 0)
      << ", \"sample_rate_per_ms\": "
-     << fmtFrac(Rate(Samples, LastHbSamples))
-     << ", \"mmu\": {\"1ms\": "
-     << fmtFrac(Mmu.mmu(1'000'000, RunStartNs, Now)) << ", \"10ms\": "
-     << fmtFrac(Mmu.mmu(10'000'000, RunStartNs, Now)) << ", \"100ms\": "
-     << fmtFrac(Mmu.mmu(100'000'000, RunStartNs, Now)) << "}"
-     << ", \"tasks\": ";
+     << fmtFrac(Rate(Samples, LastHbSamples)) << ", \"tasks\": ";
   writeTasksJson(OS);
   if (St) {
     OS << ", \"counters\": {";
@@ -339,25 +180,16 @@ void Monitor::finish() {
   if (Finished)
     return;
   Finished = true;
-  if (RunStartNs != NoTime && RunEndNs == NoTime)
-    endRun();
   if (!Stream)
     return;
 
   std::ostream &OS = *Stream;
-  uint64_t Wall = wallNs();
   OS << "{\"type\": \"summary\", \"schema\": " << StreamSchema;
   if (!Label.empty())
     OS << ", \"label\": " << jsonQuote(Label);
-  OS << ", \"wall_ns\": " << Wall << ", \"mutator_ns\": " << MutatorNsTotal
-     << ", \"gc_ns\": " << gcNs() << ", \"collections\": " << Collections
-     << ", \"steps\": " << stepsObserved() << ", \"samples\": " << Samples
+  OS << ", \"steps\": " << stepsObserved() << ", \"samples\": " << Samples
      << ", \"sample_period_steps\": " << Opts.SamplePeriodSteps
-     << ", \"heartbeats\": " << Heartbeats
-     << ", \"mutator_fraction\": " << fmtFrac(mutatorFraction())
-     << ", \"mmu\": {\"1ms\": " << fmtFrac(mmu(1'000'000))
-     << ", \"10ms\": " << fmtFrac(mmu(10'000'000))
-     << ", \"100ms\": " << fmtFrac(mmu(100'000'000)) << "}";
+     << ", \"heartbeats\": " << Heartbeats;
 
   OS << ", \"op_classes\": {";
   for (size_t I = 0; I < NumOpClasses; ++I)
@@ -402,46 +234,17 @@ void Monitor::finish() {
   OS.flush();
 }
 
-namespace {
-
-uint64_t ppm(double Frac) {
-  if (Frac < 0.0)
-    Frac = 0.0;
-  if (Frac > 1.0)
-    Frac = 1.0;
-  return (uint64_t)(Frac * 1e6 + 0.5);
-}
-
-} // namespace
-
 void Monitor::publishStats(Stats &Out) const {
   Out.set("mon.samples", Samples);
   Out.set("mon.sample_period_steps", Opts.SamplePeriodSteps);
-  Out.set("mon.heartbeats", Heartbeats);
-  Out.set("mon.collections", Collections);
-  Out.set("mon.wall_ns", wallNs());
-  Out.set("mon.mutator_ns", mutatorNsAt(runEndOrNow()));
-  Out.set("mon.gc_ns", gcNs());
-  Out.set("mon.mutator_fraction_ppm", ppm(mutatorFraction()));
-  Out.set("mon.mmu_1ms_ppm", ppm(mmu(1'000'000)));
-  Out.set("mon.mmu_10ms_ppm", ppm(mmu(10'000'000)));
-  Out.set("mon.mmu_100ms_ppm", ppm(mmu(100'000'000)));
 }
 
 std::string Monitor::renderSummary(size_t TopN) const {
   std::ostringstream OS;
-  uint64_t Wall = wallNs();
   OS << "[monitor]";
   if (!Label.empty())
     OS << ' ' << Label;
-  OS << " wall_ms=" << fmtFrac((double)Wall / 1e6)
-     << " mutator_ms=" << fmtFrac((double)MutatorNsTotal / 1e6)
-     << " gc_ms=" << fmtFrac((double)gcNs() / 1e6)
-     << " mutator_fraction=" << fmtFrac(mutatorFraction())
-     << " mmu_1ms=" << fmtFrac(mmu(1'000'000))
-     << " mmu_10ms=" << fmtFrac(mmu(10'000'000))
-     << " mmu_100ms=" << fmtFrac(mmu(100'000'000))
-     << " samples=" << Samples << "\n";
+  OS << " samples=" << Samples << "\n";
   std::vector<std::pair<uint64_t, uint32_t>> Top;
   for (uint32_t F = 0; F < Flat.size(); ++F)
     if (Flat[F])

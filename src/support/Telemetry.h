@@ -205,9 +205,9 @@ struct GcEvent {
 };
 
 /// Receives every completed collection event as it is folded into the
-/// aggregates (support/Monitor.h consumes these to maintain MMU curves).
-/// The callback runs inside the pause, after the event is closed; it must
-/// not re-enter the Telemetry.
+/// aggregates (an embedder's pause log; tfgc itself reads pauses from the
+/// flight recording). The callback runs inside the pause, after the event
+/// is closed; it must not re-enter the Telemetry.
 class GcEventSink {
 public:
   virtual ~GcEventSink() = default;
@@ -219,8 +219,8 @@ public:
   Telemetry();
 
   /// Nanoseconds since this Telemetry was constructed — the timebase of
-  /// GcEvent::StartNs, exposed so mutator-side interval timestamps (the
-  /// monitor's MMU accounting) share the epoch of the pause spans.
+  /// GcEvent::StartNs, exposed so an event sink can line the pause spans
+  /// up with its own clock.
   uint64_t nowNs() const;
 
   /// Registers \p S (nullptr disables) to observe every completed

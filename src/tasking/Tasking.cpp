@@ -134,8 +134,6 @@ bool TaskingRuntime::runAll() {
         // the requesting task itself).
         uint64_t DelayNs = sinceRequestNs();
         T.StopDelayHist.record(DelayNs);
-        if (Monitor *M = Col.monitor())
-          M->recordTaskStopDelay((uint32_t)Idx, DelayNs);
         if (T.Flight)
           T.Flight->record(FlightEventType::ThreadPark, (uint32_t)Epoch,
                            DelayNs, othersSuspended(Idx) ? 1 : 0);

@@ -61,8 +61,6 @@ void Vm::start(FuncId Entry, const std::vector<Word> &Args) {
   assert(!Started && "VM already started");
   EntryFn = Entry;
   Started = true;
-  if (Mon)
-    Mon->beginRun();
   pushFrame(Entry, Args.data(), (unsigned)Args.size(), false, 0, 0);
 }
 
@@ -278,10 +276,8 @@ void Vm::flushHotCounters() {
 
 void Vm::flushCounters() {
   Stats &St = Col.stats();
-  if (Mon) {
+  if (Mon)
     Mon->noteTaskSteps(Opts.TaskIndex, Steps);
-    Mon->endRun();
-  }
   flushHotCounters();
   // Gauges describe the shared heap, not this task: they go through the
   // facade (shard 0) so the fold is the identity for them.

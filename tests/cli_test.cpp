@@ -295,11 +295,16 @@ TEST(Cli, MonitorRunEmitsCheckableStreamAndStats) {
   std::string Line;
   while (std::getline(In, Line))
     EXPECT_TRUE(validJson(Line)) << Line.substr(0, 200);
-  // The monitor's counters surface in the stats JSON artifact.
+  // The monitor's counters surface in the stats JSON artifact: only the
+  // deterministic sampler ones; its former wall-clock gauges are gone.
   std::string StatsDoc = slurp(StatsJson);
   EXPECT_NE(StatsDoc.find("mon.samples"), std::string::npos) << StatsJson;
-  EXPECT_NE(StatsDoc.find("mon.mmu_10ms_ppm"), std::string::npos)
+  EXPECT_NE(StatsDoc.find("mon.sample_period_steps"), std::string::npos)
       << StatsJson;
+  for (const char *Gone : {"mmu_", "mutator", "wall_ns", "gc_ns",
+                           "collections", "heartbeats"})
+    EXPECT_EQ(StatsDoc.find(std::string("mon.") + Gone), std::string::npos)
+        << Gone;
 
   std::remove(Mon.c_str());
   std::remove(StatsJson.c_str());

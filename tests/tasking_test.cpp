@@ -262,8 +262,8 @@ TEST(Tasking, PerTaskStepAndStopDelayStats) {
 }
 
 TEST(Tasking, MonitorSeesPerTaskActivity) {
-  // With a monitor attached before the tasks spawn, samples and stop
-  // delays are attributed per task and surface in mon.* stats.
+  // With a monitor attached before the tasks spawn, samples are
+  // attributed per task and surface in mon.* stats.
   World W;
   CompileOptions O;
   O.TaskingSafe = true;

@@ -55,13 +55,6 @@ import sys
 TIME_COUNTER_MARKERS = ("_ns", "pause_ns", "wall_ms")
 
 
-# The monitor's minimum-mutator-utilisation readings: parts per million
-# of wall-clock windows, so they are timings too.
-MMU_COUNTERS = frozenset((
-    "mon.mmu_1ms_ppm", "mon.mmu_10ms_ppm", "mon.mmu_100ms_ppm",
-    "mon.mutator_fraction_ppm",
-))
-
 # Counters of a threaded row that depend on the thread interleaving
 # (module docstring). Per-task ones are matched by PER_TASK_SCHED.
 SCHED_DEPENDENT = frozenset((
@@ -84,8 +77,7 @@ HANDSHAKE_COUNTERS = ("task.gc_requests", "task.world_stops",
 
 
 def is_time_counter(name):
-    return (any(m in name for m in TIME_COUNTER_MARKERS) or
-            name in MMU_COUNTERS)
+    return any(m in name for m in TIME_COUNTER_MARKERS)
 
 
 def is_sched_dependent(name):

@@ -30,17 +30,28 @@ Modes:
     flight_report.py --stats STATS FILE   cross-check against the run's
                                           --stats-json; exit 1 on mismatch
                                           (see cross_check_stats)
+    flight_report.py --mmu [--stats STATS] FILE
+                                          collections, gc ns, mutator
+                                          fraction and minimum mutator
+                                          utilization at 1/10/100 ms
+                                          (see mmu_report); with --stats,
+                                          also the cross-check, plus
+                                          collections and gc ns equal to
+                                          gc.collections and
+                                          gc.pause_ns_total
     flight_report.py --chrome OUT FILE    multi-track Chrome trace JSON
                                           (one track per tid; view in
                                           Perfetto / chrome://tracing)
 
 Each collection is GcBegin, one GcPhase per nonzero phase (arg32 = phase,
-arg_a = its exclusive ns) and GcEnd on the GC ring. The collection
+arg_a = its exclusive ns) and GcEnd (arg_a = the pause ns) on the GC
+ring, so the recording is the run's one pause timeline. The collection
 belongs to the thread that owned the pause: the last parker or handoff
 thread of the handshake before it (task 0 in a sequential run). Chrome
 track k + 1 is tid k, so task i is track i + 1.
 """
 
+import bisect
 import json
 import struct
 import sys
@@ -272,6 +283,104 @@ def collections(events):
     return out
 
 
+class PauseTimeline:
+    """Sorted, non-overlapping pause spans with prefix sums, so the GC time
+    inside any interval is two bisections."""
+
+    def __init__(self, spans):
+        self.starts, self.ends, self.prefix = [], [], [0]
+        for start, end in spans:
+            # Collections are sequential; an overlapping start is clamped.
+            if self.ends and start < self.ends[-1]:
+                start = self.ends[-1]
+            end = max(end, start)
+            self.starts.append(start)
+            self.ends.append(end)
+            self.prefix.append(self.prefix[-1] + end - start)
+
+    def gc_ns_in(self, t0, t1):
+        """GC time overlapping [t0, t1)."""
+        lo = bisect.bisect_right(self.ends, t0)
+        hi = bisect.bisect_left(self.starts, t1)
+        if t1 <= t0 or lo >= hi:
+            return 0
+        ns = self.prefix[hi] - self.prefix[lo]
+        ns -= max(0, t0 - self.starts[lo])
+        ns -= max(0, self.ends[hi - 1] - t1)
+        return ns
+
+    def mmu(self, window, t0, t1):
+        """Minimum mutator utilization: the least mutator share of any
+        window-long interval inside [t0, t1); the overall share when the
+        run is shorter than the window, 1.0 with no pauses."""
+        if t1 <= t0:
+            return 1.0
+        window = max(window, 1)
+        if t1 - t0 <= window:
+            return 1.0 - self.gc_ns_in(t0, t1) / (t1 - t0)
+        # GC time in a sliding window is piecewise linear in its position,
+        # with maxima where a window edge meets a pause edge: windows
+        # starting at every pause start, ending at every pause end, and at
+        # the two extremes cover them.
+        last = t1 - window
+        anchors = [t0, last]
+        for start, end in zip(self.starts, self.ends):
+            if end > t0 and start < t1:
+                anchors += [start, end - window]
+        worst = max(self.gc_ns_in(a, a + window)
+                    for a in (min(max(a, t0), last) for a in anchors))
+        return 1.0 - worst / window
+
+
+MMU_WINDOWS_MS = (1, 10, 100)
+
+
+def mmu_report(events):
+    """Pause structure of the run, from the recording alone.
+
+    The run window runs from the first thread_start to the last
+    thread_exit (the whole recording when either is missing); each pause
+    is [gc_end.time - pause, gc_end.time]. collections and gc_ns count
+    every gc_end unclipped, so they equal the run's gc.collections and
+    gc.pause_ns_total; the mutator fraction and MMU clip the pauses to the
+    run window.
+    """
+    ends = [e for e in events if e.type == T_GCEND]
+    starts = [e.time_ns for e in events if e.type == T_START]
+    exits = [e.time_ns for e in events if e.type == T_EXIT]
+    t0 = min(starts) if starts else (events[0].time_ns if events else 0)
+    t1 = max(exits) if exits else (events[-1].time_ns if events else 0)
+    pauses = PauseTimeline((max(0, e.time_ns - e.arg_a), e.time_ns)
+                           for e in ends)
+    report = {"collections": len(ends),
+              "gc_ns": sum(e.arg_a for e in ends),
+              "window_ns": max(0, t1 - t0),
+              "mutator_fraction": (1.0 - pauses.gc_ns_in(t0, t1) / (t1 - t0)
+                                   if t1 > t0 else 1.0)}
+    for ms in MMU_WINDOWS_MS:
+        report[f"mmu_{ms}ms"] = pauses.mmu(ms * 1_000_000, t0, t1)
+    return report
+
+
+def cross_check_mmu(report, stats_path):
+    """collections and gc_ns equal the run's gc.collections and
+    gc.pause_ns_total (skipped under --verify: the recorded pause also
+    spans the verify re-trace, which the pause counters leave out)."""
+    with open(stats_path) as f:
+        counters = json.load(f).get("counters", {})
+    if counters.get("gc.verify_passes", 0):
+        print("note: the recorded pauses include verify passes; gc ns "
+              "cross-check skipped", file=sys.stderr)
+        return []
+    errs = []
+    for field, key in (("collections", "gc.collections"),
+                       ("gc_ns", "gc.pause_ns_total")):
+        if report[field] != counters.get(key):
+            errs.append(f"mmu {field}={report[field]}, stats report "
+                        f"{key}={counters.get(key)}")
+    return errs
+
+
 def print_report(events):
     n_by_type = {}
     tids = set()
@@ -456,14 +565,16 @@ def chrome_trace(events, out_path):
 def main():
     args = sys.argv[1:]
     mode = "report"
-    stats_path = out_path = None
-    if args and args[0] == "--check":
+    mmu = stats_path = out_path = None
+    if args and args[0] == "--mmu":
+        mmu, args = True, args[1:]
+    if args and args[0] == "--check" and not mmu:
         mode = "check"
         args = args[1:]
     elif args and args[0] == "--stats":
         mode = "stats"
         stats_path, args = args[1], args[2:]
-    elif args and args[0] == "--chrome":
+    elif args and args[0] == "--chrome" and not mmu:
         mode = "chrome"
         out_path, args = args[1], args[2:]
     if len(args) != 1:
@@ -481,16 +592,24 @@ def main():
         print(f"ok: {len(events)} records, {n_hs} handshakes, "
               "monotone + paired")
         return 0
-    if mode == "stats":
-        errs = cross_check_stats(events, stats_path)
-        for e in errs:
-            print(f"error: {e}", file=sys.stderr)
-        return 1 if errs else 0
     if mode == "chrome":
         chrome_trace(events, out_path)
         return 0
-    print_report(events)
-    return 0
+    errs = []
+    if mmu:
+        report = mmu_report(events)
+        print("mmu: " + " ".join(
+            f"{k}={v:.6f}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in report.items()))
+        if stats_path:
+            errs += cross_check_mmu(report, stats_path)
+    if stats_path:
+        errs += cross_check_stats(events, stats_path)
+    elif not mmu:
+        print_report(events)
+    for e in errs:
+        print(f"error: {e}", file=sys.stderr)
+    return 1 if errs else 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,10 @@
 ///   --flight-out=FILE  binary event recording: every collection with
 ///                      its phase times, safepoint handshakes, TLAB
 ///                      refills (tools/flight_report.py checks it against
-///                      --stats-json and exports a Chrome trace)
+///                      --stats-json, computes MMU with --mmu, and
+///                      exports a Chrome trace)
+///   --monitor          mutator-side sampling profiler (flat/caller
+///                      profiles; --monitor-out=FILE streams JSONL)
 ///   --heap-profile     allocation-site + typed-heap profiling (tag-free:
 ///                      attribution without per-object headers)
 ///   --heap-snapshot=F  write the last collection's typed snapshot as

@@ -2,10 +2,9 @@
 """Live top-style view of a running tfgc --serve=PORT process.
 
 Polls http://HOST:PORT/metrics and renders the latest epoch: heap
-occupancy, collection and pause totals, mutator throughput (epoch-over-
-epoch rates for steps, allocation, barriers), and MMU / mutator fraction
-when the run has --monitor. Rates need two polls; the first frame shows
-totals only.
+occupancy, collection and pause totals, and mutator throughput (epoch-
+over-epoch rates for steps, allocation, barriers). Rates need two polls;
+the first frame shows totals only.
 
 Usage: tfgc_top.py [--interval SECS] [--once] [HOST:]PORT
 
@@ -23,6 +22,9 @@ import time
 import urllib.error
 import urllib.request
 
+from check_metrics import parse as parse_exposition
+from heap_report import fmt_bytes
+
 
 def fetch(url):
     with urllib.request.urlopen(url, timeout=5) as r:
@@ -30,27 +32,11 @@ def fetch(url):
 
 
 def parse(text):
-    samples = {}
-    label = ""
-    for line in text.splitlines():
-        if line.startswith("tfgc_info{"):
-            lo = line.find('label="')
-            if lo >= 0:
-                label = line[lo + 7:line.find('"', lo + 7)]
-            continue
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) == 2 and parts[1].isdigit():
-            samples[parts[0]] = int(parts[1])
-    return samples, label
-
-
-def fmt_bytes(n):
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if n < 1024 or unit == "GiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{n} B"
-        n /= 1024
+    """Samples by name, plus the run label from tfgc_info's labels."""
+    _, samples, labelstrs = parse_exposition(text, "/metrics")
+    info = labelstrs.get("tfgc_info", "")
+    lo = info.find('label="')
+    return samples, info[lo + 7:info.find('"', lo + 7)] if lo >= 0 else ""
 
 
 def fmt_ns(n):
@@ -101,15 +87,6 @@ def frame(url, cur, label, prev, dt):
     if brate is not None and cur.get("tfgc_gc_barrier_ops", 0):
         mut += f"  {brate:.0f} barriers/s"
     lines.append(mut)
-
-    if "tfgc_mon_mmu_10ms_ppm" in cur:
-        lines.append(
-            "  MMU        "
-            f"1ms {cur.get('tfgc_mon_mmu_1ms_ppm', 0) / 1e6:.3f}  "
-            f"10ms {cur.get('tfgc_mon_mmu_10ms_ppm', 0) / 1e6:.3f}  "
-            f"100ms {cur.get('tfgc_mon_mmu_100ms_ppm', 0) / 1e6:.3f}  "
-            "mutator "
-            f"{cur.get('tfgc_mon_mutator_fraction_ppm', 0) / 1e6:.3f}")
 
     # Per-task shard columns (--threads runs publish one group per task
     # at every safepoint fold): steps + rate, TLAB allocation, and the
